@@ -16,7 +16,7 @@ from perfbench import common, layers, stats, tracing
 
 #: Coordinators built per run (each with its set-up round); ``setup_s``
 #: is their median.
-SETUPS = 3
+SETUPS = 5
 SITES = 4
 ROWS_PER_SITE = 600
 #: Public reference rows the coordinator fits the shared transformer on.
@@ -29,12 +29,14 @@ EXECUTOR = "serial"
 #: A per-site deadline turns on the runtime's resilient dispatch path,
 #: whose task counters the traced run reads.
 TASK_TIMEOUT_S = 120.0
-#: Rounds per pass at least (a median needs ten rounds beyond it).  The
-#: pooled sample and its KG check run right after this many rounds, so the
-#: quality guard always sees the same amount of training.
+#: Rounds per pass at least (a median needs ten rounds beyond it).  The KG
+#: check runs on the pooled sample drawn right after this many rounds, so
+#: the quality guard always sees the same amount of training.
 MIN_ROUNDS = 40
-#: Pooled samples drawn from the federated model, and their size.
-SAMPLES = 20
+#: One pooled sample of ``SAMPLE_ROWS`` is drawn after every
+#: ``SAMPLE_EVERY`` rounds, so the sampling times cover the whole run
+#: rather than one stretch of it.
+SAMPLE_EVERY = 2
 SAMPLE_ROWS = 10_000
 
 
@@ -91,8 +93,9 @@ def _round_ok(info) -> bool:
 
 
 def _pass(fed, bundle, budget: float, tally: stats.Tally, tracer: tracing.Tracer | None) -> dict:
-    """Rounds until ``budget`` seconds and at least :data:`MIN_ROUNDS`; the
-    pooled sample is drawn after round :data:`MIN_ROUNDS`."""
+    """Rounds until ``budget`` seconds and at least :data:`MIN_ROUNDS`, with a
+    pooled sample after every :data:`SAMPLE_EVERY` rounds; the KG check runs
+    on the sample drawn after round :data:`MIN_ROUNDS`."""
     from repro.engine import sampling_rng
 
     def span(name):
@@ -108,18 +111,16 @@ def _pass(fed, bundle, budget: float, tally: stats.Tally, tracer: tracing.Tracer
             info = fed.run_round(local_epochs=1)
         round_s.append(time.perf_counter() - start)
         tally.record(_round_ok(info), f"round {info.round_index}: dropped {info.dropped}")
+        if len(round_s) % SAMPLE_EVERY:
+            continue
+        start = time.perf_counter()
+        with span("bench.sample"):
+            table = fed.sample(SAMPLE_ROWS, rng=sampling_rng(fed.seed + len(sample_s)))
+        sample_s.append(time.perf_counter() - start)
+        tally.record(common.table_ok(table, SAMPLE_ROWS, bundle.schema), "pooled sample shape")
         if len(round_s) == MIN_ROUNDS:
-            tables = []
-            for index in range(SAMPLES):
-                start = time.perf_counter()
-                with span("bench.sample"):
-                    tables.append(fed.sample(SAMPLE_ROWS, rng=sampling_rng(fed.seed + index)))
-                sample_s.append(time.perf_counter() - start)
-            for table in tables:
-                ok = common.table_ok(table, SAMPLE_ROWS, bundle.schema)
-                tally.record(ok, "pooled sample rows or schema")
             with span("bench.kg_check"):
-                validity = common.kg_validity(fed.reasoner, tables[0])
+                validity = common.kg_validity(fed.reasoner, table)
             tally.record(0.0 < validity <= 1.0, f"kg validity {validity}")
     return {
         "round_s": round_s,
@@ -148,11 +149,12 @@ def measure(seed: int, seconds: float, out_dir) -> common.Outcome:
         "ok_share": (tally.ok_share, "share"),
         "peak_rss_mb": (common.peak_rss_mb(), "MB"),
         "kg_validity": (result["kg_validity"], "share"),
-        "op_ms": (summary["p50"], "ms"),
-        "rows_per_s": (SAMPLE_ROWS / stats.median(result["sample_s"]), "rows/s"),
+        "op_ms": (stats.trimmed_mean(rounds_ms), "ms"),
+        "rows_per_s": (SAMPLE_ROWS / stats.trimmed_mean(result["sample_s"]), "rows/s"),
     }
     out.name("setup_s", setup_s, "s", n=len(setups))
     out.name("round_ms_p50", summary["p50"], "ms", n=summary["n"])
+    out.name("round_ms_trimmed_mean", out.gate["op_ms"][0], "ms", n=summary["n"], trim=stats.TRIM)
     out.name(
         "round_ms_p90",
         stats.percentile(rounds_ms, 90.0),

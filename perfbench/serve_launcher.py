@@ -10,11 +10,17 @@ writes the spans it kept in memory to ``FILE`` as one JSON list.
 from __future__ import annotations
 
 import json
+import signal
 import sys
 from pathlib import Path
 
 
 def main(argv: list[str]) -> int:
+    # The benchmark stops the server with SIGINT.  A process started with
+    # SIGINT ignored (as background jobs of a non-interactive shell are)
+    # passes that on, and Python then never raises KeyboardInterrupt, so the
+    # server would not drain; take the default handler back.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     trace_out = None
     if argv[:1] == ["--trace-out"]:
         trace_out, argv = Path(argv[1]), argv[2:]

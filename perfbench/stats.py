@@ -57,6 +57,26 @@ def median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+#: Share of the samples dropped at each end by :func:`trimmed_mean`.
+TRIM = 0.1
+
+
+def trimmed_mean(values: list[float], trim: float = TRIM) -> float:
+    """Mean of the samples left after dropping ``trim`` of them at each end.
+
+    The gated timings use it: on a host whose speed drifts between a fast
+    and a slow state every few seconds, a median flips with the share of
+    time spent in each state, while a mean averages the two; trimming keeps
+    a rare stall from dominating the mean.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("mean of no values")
+    cut = int(len(ordered) * trim)
+    kept = ordered[cut : len(ordered) - cut]
+    return sum(kept) / len(kept)
+
+
 @dataclass
 class Tally:
     """Operations attempted and failed; a failed check counts as a failure."""

@@ -95,6 +95,15 @@ def test_meets_limit_fails_on_slow_tail_failure_or_growing_backlog():
     assert not stats.meets_limit(answered, 0.1)
 
 
+def test_trimmed_mean_drops_the_tails_before_averaging():
+    values = [float(v) for v in range(1, 10)] + [1000.0]  # one stall among ten
+    assert stats.trimmed_mean(values) == pytest.approx(sum(range(2, 10)) / 8)
+    assert stats.trimmed_mean(values, trim=0.0) == pytest.approx(sum(values) / 10)
+    assert stats.trimmed_mean([4.0, 2.0]) == 3.0  # too few to trim: plain mean
+    with pytest.raises(ValueError):
+        stats.trimmed_mean([])
+
+
 # --------------------------------------------------------------------------- #
 # Failures
 # --------------------------------------------------------------------------- #

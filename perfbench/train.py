@@ -24,19 +24,19 @@ ROOT = Path(__file__).resolve().parent.parent
 #: UNSW-NB15 rows the model trains on.
 ROWS = 3000
 #: Dataset syntheses per run; ``setup_s`` is their median.
-SETUPS = 5
+SETUPS = 9
 #: Fixed epochs: the fit is the same amount of work on every commit.
 EPOCHS = 3
-#: The same seeded fit is repeated and its median reported, which keeps a
-#: burst of load from elsewhere on the machine out of the figure.  Fits
-#: take at least this share of a pass, and at least this many of them.
-FIT_SHARE = 0.6
+#: The same seeded fit is repeated until the budget is spent, at least
+#: this many times; each refit is followed by ``SAMPLES_PER_FIT`` bulk
+#: ``sample`` calls, so fits and samples are both timed across the whole
+#: run rather than in one stretch of it.
 MIN_FITS = 2
-#: Rows per bulk ``sample`` call, and the fewest such calls per pass.
+SAMPLES_PER_FIT = 4
+#: Rows per bulk ``sample`` call.
 SAMPLE_ROWS = 20_000
-MIN_SAMPLES = 4
 #: Passes per measured run, each in a fresh interpreter: the same seeded
-#: fit runs 1.9-2.5 s depending on the process, so the medians pool several.
+#: fit runs 1.9-2.5 s depending on the process, so the figures pool several.
 PROCESSES = 3
 #: Rows of the determinism check: every refit must sample identically.
 CHECK_ROWS = 256
@@ -66,7 +66,7 @@ def _setup():
 
 
 def _pass(bundle, seed: int, budget: float, tally: stats.Tally, tracer: tracing.Tracer | None):
-    """Refit until the fit share of ``budget``, sample until the rest, check outputs."""
+    """Refit and sample in turns until ``budget`` seconds, then check outputs."""
     from repro.core import KiNETGAN
     from repro.engine import sampling_rng
 
@@ -75,9 +75,13 @@ def _pass(bundle, seed: int, budget: float, tally: stats.Tally, tracer: tracing.
 
     started = time.perf_counter()
     fit_s: list[float] = []
-    reference = None
-    while len(fit_s) < MIN_FITS or time.perf_counter() - started < FIT_SHARE * budget:
-        start = time.perf_counter()
+    sample_s: list[float] = []
+    reference = first = None
+    # A fit-and-sample cycle takes seconds, so one starts only while it is
+    # expected to end within half a cycle of the budget.
+    cycle = 0.0
+    while len(fit_s) < MIN_FITS or time.perf_counter() - started + cycle / 2 < budget:
+        cycle_start = start = time.perf_counter()
         model = KiNETGAN(_config(seed))
         with span("bench.fit"):
             model.fit(
@@ -88,19 +92,16 @@ def _pass(bundle, seed: int, budget: float, tally: stats.Tally, tracer: tracing.
         reference = reference if reference is not None else check
         same = common.tables_equal(check, reference)
         tally.record(same, f"refit {len(fit_s)} samples differently")
-
-    sample_s: list[float] = []
-    first = None
-    while len(sample_s) < MIN_SAMPLES or time.perf_counter() - started < budget:
-        index = len(sample_s)
-        start = time.perf_counter()
-        with span("bench.sample"):
-            table = model.sample(SAMPLE_ROWS, rng=sampling_rng(seed * 1000 + index))
-        sample_s.append(time.perf_counter() - start)
-        tally.record(
-            common.table_ok(table, SAMPLE_ROWS, bundle.schema), f"sample {index}: rows or schema"
-        )
-        first = first if first is not None else table
+        for _ in range(SAMPLES_PER_FIT):
+            index = len(sample_s)
+            start = time.perf_counter()
+            with span("bench.sample"):
+                table = model.sample(SAMPLE_ROWS, rng=sampling_rng(seed * 1000 + index))
+            sample_s.append(time.perf_counter() - start)
+            ok = common.table_ok(table, SAMPLE_ROWS, bundle.schema)
+            tally.record(ok, f"sample {index}: rows or schema")
+            first = first if first is not None else table
+        cycle = time.perf_counter() - cycle_start
 
     with span("bench.kg_check"):
         validity = common.kg_validity(model.reasoner, first)
@@ -142,8 +143,8 @@ def measure(seed: int, seconds: float, out_dir) -> common.Outcome:
         "sample_s": [s for part in passes for s in part["sample_s"]],
         "kg_validity": passes[0]["kg_validity"],
     }
-    fit_s = stats.median(result["fit_s"])
-    rows_per_s = SAMPLE_ROWS / stats.median(result["sample_s"])
+    fit_s = stats.trimmed_mean(result["fit_s"])
+    rows_per_s = SAMPLE_ROWS / stats.trimmed_mean(result["sample_s"])
     out = common.Outcome(tally)
     out.gate = {
         "setup_s": (setup_s, "s"),
