@@ -5,7 +5,7 @@ at 4 / 8 / 16 clients under the serial, process-pool and thread-pool
 executors (:mod:`repro.runtime`), a latency-overlap probe that isolates the
 runtime's ability to overlap blocked time from the machine's core count,
 and a *transport-bytes* probe that counts what actually crosses the task
-pipe per round on each transport.  Results land in ``BENCH_runtime.json``
+pipe per round.  Results land in ``BENCH_runtime.json``
 at the repository root so future PRs have a trajectory to compare against.
 
 Interpreting the numbers:
@@ -21,12 +21,11 @@ Interpreting the numbers:
   scheduling overlap and reaches ~min(workers, tasks)x on any machine,
   which is the regime a real federated deployment (remote devices, network
   round-trips) lives in.
-* ``transport_bytes_per_round`` -- pickled bytes per steady-state round on
-  the legacy payload transport (whole clients + state dicts re-shipped
-  every round) versus the resident transport (clients installed once,
-  rounds ship refs + seeds, parameters ride shared memory).  This is
-  deterministic and core-count independent: the copy elimination is
-  visible even on a 1-core container.
+* ``transport_bytes_per_round`` -- pickled bytes per steady-state round of
+  the resident transport (clients installed once, rounds ship refs +
+  seeds, parameters ride shared memory).  This is deterministic and
+  core-count independent, so the smoke gate holds it to an absolute
+  ceiling.
 * ``transport_bytes_float32`` -- shared-memory parameter bytes a resident
   round rewrites with a float64 detector versus a float32 one.  The round
   buffers are allocated in the model's dtype (``docs/precision.md``), so
@@ -75,7 +74,6 @@ TRANSPORT_ROUNDS = 2
 
 #: What the measured configurations ship per round (recorded in entries).
 RESIDENT_TRANSPORT = "resident (refs + seeds; params via shared memory)"
-PAYLOAD_TRANSPORT = "payload (clients + state dicts re-pickled per round)"
 
 
 def _sleep_task(seconds: float) -> float:
@@ -237,41 +235,28 @@ def measure_latency_overlap() -> dict:
 def measure_transport_bytes(
     n_clients: int = TRANSPORT_CLIENTS, rounds: int = TRANSPORT_ROUNDS
 ) -> dict:
-    """Pickled bytes per steady-state round, payload vs resident transport.
+    """Pickled bytes per steady-state round of the resident transport.
 
-    Both transports run over a real (metered) process pool, so the resident
-    refs measured here are the shared-memory ones, not the in-process
-    identity refs.  The first round is excluded: it carries the one-time
-    installs (counted separately as ``resident_install_bytes``).
+    The federation runs over a real (metered) process pool, so the refs
+    measured here are the shared-memory ones, not the in-process identity
+    refs.  The first round is excluded: it carries the one-time installs
+    (counted separately as ``resident_install_bytes``).
     """
-
-    def run(transport: str) -> tuple[float, int]:
-        clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed=11)
-        meter = _MeteredExecutor(ProcessExecutor(max_workers=2))
-        server = FederatedServer(
-            model_fn, clients, seed=11, executor=meter, transport=transport
-        )
-        try:
-            server.run_round()  # install + warm-up round
-            meter.reset()
-            for _ in range(rounds):
-                server.run_round()
-            per_round = (meter.payload_bytes + meter.result_bytes) / rounds
-            return per_round, meter.install_bytes
-        finally:
-            server.close()
-
-    payload_per_round, _ = run("payload")
-    resident_per_round, install_bytes = run("resident")
+    clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed=11)
+    meter = _MeteredExecutor(ProcessExecutor(max_workers=2))
+    with FederatedServer(model_fn, clients, seed=11, executor=meter) as server:
+        server.run_round()  # install + warm-up round
+        meter.reset()
+        for _ in range(rounds):
+            server.run_round()
+        per_round = (meter.payload_bytes + meter.result_bytes) / rounds
     return {
         "clients": n_clients,
         "rows_per_client": ROWS_PER_CLIENT,
         "rounds_measured": rounds,
-        "legacy_payload_bytes_per_round": int(payload_per_round),
-        "resident_delta_bytes_per_round": int(resident_per_round),
-        "resident_install_bytes": install_bytes,
-        "reduction": round(payload_per_round / resident_per_round, 1),
-        "transport": f"{PAYLOAD_TRANSPORT} vs {RESIDENT_TRANSPORT}",
+        "resident_delta_bytes_per_round": int(per_round),
+        "resident_install_bytes": meter.install_bytes,
+        "transport": RESIDENT_TRANSPORT,
         "cpu_count": default_worker_count(),
     }
 
@@ -282,20 +267,18 @@ def measure_dtype_transport(
     """Bytes a resident federated round moves at float64 vs float32.
 
     Runs the same detector federation twice -- once with a float64
-    :class:`DetectorFactory`, once float32 -- over a metered process pool on
-    the resident transport.  The dominant per-round traffic is the broadcast
-    vector plus the ``(clients, dim)`` update matrix riding shared memory;
-    both are allocated in the model's dtype, so the float32 run maps (and
-    rewrites each round) half the parameter bytes.  Pipe bytes (refs, seeds,
+    :class:`DetectorFactory`, once float32 -- over a metered process pool.
+    The dominant per-round traffic is the broadcast vector plus the
+    ``(clients, dim)`` update matrix riding shared memory; both are
+    allocated in the model's dtype, so the float32 run maps (and rewrites
+    each round) half the parameter bytes.  Pipe bytes (refs, seeds,
     metric floats) are dtype-independent and reported for completeness.
     """
 
     def run(dtype: str) -> dict[str, int]:
         clients, model_fn = _make_clients(n_clients, ROWS_PER_CLIENT, seed=11, dtype=dtype)
         meter = _MeteredExecutor(ProcessExecutor(max_workers=2))
-        server = FederatedServer(
-            model_fn, clients, seed=11, executor=meter, transport="resident"
-        )
+        server = FederatedServer(model_fn, clients, seed=11, executor=meter)
         try:
             server.run_round()  # install + warm-up: allocates the round buffers
             shared = meter.shared_bytes
@@ -363,10 +346,12 @@ def run_runtime_bench(
             "entry records its cpu_count and the smoke gate only compares "
             "them on a matching runner. latency_overlap isolates "
             "scheduling overlap with blocked work units and is core-count "
-            "independent. transport_bytes_per_round is deterministic: it "
-            "shows the resident transport cutting per-round pickling to "
-            "refs + seeds + metric floats, with parameters riding shared "
-            "memory instead of the task pipe."
+            "independent. transport_bytes_per_round is deterministic: the "
+            "resident transport pickles only refs + seeds + metric floats "
+            "per round, with parameters riding shared memory instead of the "
+            "task pipe. History: the re-pickled payload transport it "
+            "replaced shipped 3,604,232 B per round at 8 clients "
+            "(573.9x the resident bytes) before it was deleted."
         ),
     }
 
@@ -403,9 +388,8 @@ def format_results(document: dict) -> str:
             )
         else:
             lines.append(
-                f"  {name:28s} payload {entry['legacy_payload_bytes_per_round']:,} B/round"
-                f" -> resident {entry['resident_delta_bytes_per_round']:,} B/round"
-                f"  ({entry['reduction']}x less, {entry['clients']} clients;"
+                f"  {name:28s} resident {entry['resident_delta_bytes_per_round']:,} B/round"
+                f"  ({entry['clients']} clients;"
                 f" one-time install {entry['resident_install_bytes']:,} B)"
             )
     return "\n".join(lines)

@@ -8,9 +8,8 @@ Runs a reduced version of :mod:`benchmarks.bench_runtime` and checks the
 * the latency-overlap probe (blocked work units) actually overlaps -- this
   holds on any machine, single-core included, because sleeping workers
   consume no CPU;
-* the transport-bytes probe shows the resident transport shipping orders
-  of magnitude fewer bytes per round than the legacy payload transport --
-  deterministic on any machine.
+* the transport-bytes probe stays at or under the committed per-round
+  ceiling of ``BENCH_runtime.json`` -- deterministic on any machine.
 
 Absolute CPU-bound speedups are hardware-bound (cores), so like the rest of
 the benchmark suite they are printed rather than asserted; run with ``-s``
@@ -19,7 +18,9 @@ to see them.
 
 from __future__ import annotations
 
-from benchmarks.bench_runtime import format_results, run_runtime_bench
+import json
+
+from benchmarks.bench_runtime import RESULT_PATH, format_results, run_runtime_bench
 
 
 def test_runtime_bench_document_structure_and_overlap():
@@ -42,10 +43,15 @@ def test_runtime_bench_document_structure_and_overlap():
     assert overlap["speedup"] > 1.3
 
     transport = metrics["transport_bytes_per_round"]
-    # The copy elimination is structural, not timing-bound: a resident
-    # round must ship at least 10x fewer bytes than a payload round.
-    assert transport["resident_delta_bytes_per_round"] > 0
-    assert transport["reduction"] >= 10
+    # The pickled bytes of a resident round are a pure function of its refs,
+    # seeds and metrics, not of timing: the committed figure is a ceiling.
+    committed = json.loads(RESULT_PATH.read_text())["metrics"]["transport_bytes_per_round"]
+    assert transport["clients"] == committed["clients"]
+    assert 0 < transport["resident_delta_bytes_per_round"]
+    assert (
+        transport["resident_delta_bytes_per_round"]
+        <= committed["resident_delta_bytes_per_round"]
+    )
     assert transport["cpu_count"] >= 1
 
     assert document["machine"]["cpus"] >= 1

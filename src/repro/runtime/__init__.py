@@ -4,9 +4,11 @@ The paper's deployment story is *distributed*: many devices train
 synthesizers and detectors at once.  Everything below the federated /
 distributed simulations is already vectorized (PR 2) and unified behind one
 training engine (PR 1); this subsystem fans independent per-client /
-per-node work units out over pluggable executors -- and, since the
-zero-copy refactor, lets round-based workloads keep their heavy state
-*resident in the plane* instead of re-shipping it every round.
+per-node work units out over pluggable executors, and lets round-based
+workloads keep their heavy state *resident in the plane*: every multi-node
+layer installs its clients, sites or nodes once and a round ships only
+refs, seeds and parameter buffers.  That resident-state transport is the
+only round transport.
 
 Design rules (every call site follows them, new ones must too):
 
@@ -15,7 +17,8 @@ Design rules (every call site follows them, new ones must too):
    *module-level* function, so it survives the pickle round-trip of a
    process pool under any start method.  Payloads live next to the layer
    that owns them (:mod:`repro.federated.client` defines its round task,
-   the distributed simulation its node task); this package only provides
+   federated KiNETGAN its site round task, the distributed simulation its
+   node task); this package only provides
    the executors, the resident-state transport and the seeding discipline.
 2. **Split payloads into resident state and per-round delta.**  Anything a
    work unit needs on *every* round but that never changes between rounds

@@ -1,6 +1,6 @@
 """Pickle-free artifact-state encoding (artifact format v2).
 
-Format v1 stored a model's :meth:`~repro.core.base.Synthesizer.
+The retired format v1 stored a model's :meth:`~repro.core.base.Synthesizer.
 artifact_state` as ``state.pkl`` -- a pickle, which executes arbitrary code
 on load and is therefore unsafe for artifacts received from untrusted peers.
 Once artifacts are reachable over a socket (:mod:`repro.serve.server`) the

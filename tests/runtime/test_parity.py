@@ -1,29 +1,31 @@
-"""Executor/transport parity: seeded runs must be bit-identical.
+"""Executor parity: seeded runs must be bit-identical.
 
 These tests are the acceptance gate of the execution plane: for every
 multi-node layer (FedAvg server, federated NIDS simulation, distributed
 synthetic-sharing simulation, federated KiNETGAN) a seeded run must produce
 exactly the same global states and round histories -- not approximately,
-bit for bit -- across
+bit for bit -- under every executor: serial, thread pool, process pool.
 
-* every executor: serial, thread pool, process pool; and
-* both round transports: worker-resident state (refs + deltas +
-  shared-memory parameter buffers) and the legacy re-pickled payloads.
-
-The baseline of each matrix is the serial run on the legacy transport (the
-pre-resident reference semantics); every other combination is compared
-against it.
+The baseline of each matrix is the serial run.  It is pinned to a committed
+sha256 digest (:data:`DIGESTS`), recorded from the serial run of the
+re-pickled payload/site transports that preceded the resident one, so the
+single remaining transport is held to the old reference semantics.  A
+digest is only comparable under the numpy and BLAS build it was recorded
+with (:data:`RECORDED_ENVIRONMENT`); anywhere else the digest test fails
+naming the mismatch and the digest it computed, so a new environment is
+re-recorded deliberately rather than skipped.  The digests hold for any
+BLAS thread count.
 
 The contract is *per dtype* (``docs/precision.md``): the ``*Float32``
 classes rerun the matrix with float32 engines against their own float32
-serial baseline -- float32 runs are not expected to match float64 ones,
-but within a dtype every executor/transport combination must agree bit
-for bit.
+serial baseline and digest -- float32 runs are not expected to match
+float64 ones, but within a dtype every executor must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -37,17 +39,97 @@ from repro.federated.partition import label_skew_partition
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import DetectorFactory, FederatedNIDSSimulation
 from repro.runtime import FaultInjector, ProcessExecutor, ThreadExecutor
+from repro.tabular.table import Table
 
-#: (executor spec factory, transport) combinations compared to the
-#: serial+legacy baseline.  Legacy transports are named "payload" on the
-#: server/simulations and "site" on federated KiNETGAN.
+#: Executor factories compared to the serial baseline.
 MATRIX = [
-    pytest.param(lambda: None, "resident", id="serial-resident"),
-    pytest.param(lambda: ThreadExecutor(max_workers=2), "resident", id="thread-resident"),
-    pytest.param(lambda: ProcessExecutor(max_workers=2), "resident", id="process-resident"),
-    pytest.param(lambda: ThreadExecutor(max_workers=2), "legacy", id="thread-legacy"),
-    pytest.param(lambda: ProcessExecutor(max_workers=2), "legacy", id="process-legacy"),
+    pytest.param(lambda: None, id="serial-resident"),
+    pytest.param(lambda: ThreadExecutor(max_workers=2), id="thread-resident"),
+    pytest.param(lambda: ProcessExecutor(max_workers=2), id="process-resident"),
 ]
+
+#: The numpy / BLAS build the digests below were recorded with (the fields
+#: ``perfbench/fingerprint.py`` records for the same purpose).
+RECORDED_ENVIRONMENT = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas",
+    "blas_version": "0.3.31.188.0",
+}
+
+#: sha256 of each layer's serial result (see :func:`_digest`), per dtype.
+DIGESTS = {
+    "server": {
+        "float64": "008c3c82634873191147d7724933229db2389e66c0964f976495e643fd5b2ec5",
+        "float32": "a5773ef828b82d00dee3e60ed02434c63d538cb2d219bd149d4272a0129d4fc2",
+    },
+    "federated_simulation": {
+        "float64": "6b514ba97097ec0afdda3f5e4ec9a7c90232163b8ad6988b408895f7369b5111",
+    },
+    "distributed_simulation": {
+        "float64": "1823af56be4109af1e37e8d638f63aed97788a9d9836764ae1fc5f4cb207f171",
+        "float32": "7d7f6de63237682003bce16c6dac37f8acd768218170813e9c7f41213f282578",
+    },
+    "federated_kinetgan": {
+        "float64": "77f034b15422c9116e640d790fc9eb4570d4246ecdfe5b60c5dbda502d4a8980",
+        "float32": "1952af5cf87b044672e618e24232b48288f98f0e130a77477933d18de51bffbc",
+    },
+}
+
+
+def _numeric_environment() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+    }
+
+
+def _feed(hasher, value) -> None:
+    """Hash ``value`` canonically: exact array bytes, sorted dict keys."""
+    if isinstance(value, Table):
+        value = [(name, value.column(name)) for name in value.schema.names]
+    elif dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        hasher.update(f"array:{value.dtype.str}:{value.shape};".encode())
+        hasher.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, np.ndarray):
+        _feed(hasher, value.tolist())
+    elif isinstance(value, dict):
+        hasher.update(f"dict:{len(value)};".encode())
+        for key in sorted(value):
+            _feed(hasher, key)
+            _feed(hasher, value[key])
+    elif isinstance(value, (list, tuple)):
+        hasher.update(f"list:{len(value)};".encode())
+        for item in value:
+            _feed(hasher, item)
+    else:
+        if isinstance(value, np.generic):
+            value = value.item()
+        hasher.update(f"{type(value).__name__}:{value!r};".encode())
+
+
+def _digest(*parts) -> str:
+    hasher = hashlib.sha256()
+    _feed(hasher, parts)
+    return hasher.hexdigest()
+
+
+def _assert_committed_digest(layer: str, dtype: str, *parts) -> None:
+    digest = _digest(*parts)
+    environment = _numeric_environment()
+    if environment != RECORDED_ENVIRONMENT:
+        pytest.fail(
+            f"{layer}/{dtype}: committed digests were recorded under "
+            f"{RECORDED_ENVIRONMENT}, this run has {environment}; computed digest "
+            f"{digest} cannot be compared -- re-record DIGESTS for this build"
+        )
+    assert digest == DIGESTS[layer][dtype], (
+        f"{layer}/{dtype}: serial result digest {digest} != committed "
+        f"{DIGESTS[layer][dtype]}"
+    )
 
 
 def _crashing_process(task_id: int):
@@ -107,33 +189,56 @@ def _make_clients(n_clients: int, model_fn: DetectorFactory) -> list[FederatedCl
 
 
 class TestServerParity:
-    @staticmethod
-    def _run(executor, transport: str):
-        model_fn = DetectorFactory(n_features=5, n_classes=2, hidden_dims=(8,), seed=0)
-        transport = "payload" if transport == "legacy" else transport
+    DTYPE = "float64"
+
+    @classmethod
+    def _run(cls, executor):
+        model_fn = DetectorFactory(
+            n_features=5, n_classes=2, hidden_dims=(8,), seed=0, dtype=cls.DTYPE
+        )
         with FederatedServer(
-            model_fn, _make_clients(3, model_fn), seed=0, executor=executor, transport=transport
+            model_fn, _make_clients(3, model_fn), seed=0, executor=executor
         ) as server:
             server.run(3)
             return server.global_state, server.history.rounds
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return self._run(None, "legacy")
+        return self._run(None)
 
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
-    def test_global_state_and_history_bit_identical(
-        self, baseline, executor_factory, transport
-    ):
-        state, rounds = self._run(executor_factory(), transport)
+    def test_serial_baseline_matches_committed_digest(self, baseline):
+        _assert_committed_digest("server", self.DTYPE, *baseline)
+
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_global_state_and_history_bit_identical(self, baseline, executor_factory):
+        state, rounds = self._run(executor_factory())
         _assert_states_equal(baseline[0], state)
         assert baseline[1] == rounds
 
 
+class TestServerParityFloat32(TestServerParity):
+    """The dtype axis of the parity contract (``docs/precision.md``).
+
+    A float32 detector federation must be bit-identical across every
+    executor against its *own* float32 serial baseline: the per-dtype RNG
+    streams, the float32 codec transport and the float32 shared buffers all
+    have to agree for this to hold.
+    """
+
+    DTYPE = "float32"
+
+    def test_global_state_is_float32(self, baseline):
+        state, _rounds = baseline
+        assert {np.asarray(value).dtype for value in state.values()} == {
+            np.dtype(np.float32)
+        }
+
+
 class TestFederatedSimulationParity:
-    @staticmethod
-    def _run(bundle, executor, transport: str):
-        transport = "payload" if transport == "legacy" else transport
+    DTYPE = "float64"
+
+    @classmethod
+    def _run(cls, bundle, executor):
         with FederatedNIDSSimulation(
             bundle,
             num_clients=3,
@@ -143,19 +248,27 @@ class TestFederatedSimulationParity:
             local_epochs=1,
             seed=0,
             executor=executor,
-            transport=transport,
         ) as simulation:
             return simulation.run()
 
     @pytest.fixture(scope="class")
     def baseline(self, lab_bundle_small):
-        return self._run(lab_bundle_small, None, "legacy")
+        return self._run(lab_bundle_small, None)
 
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
-    def test_seeded_results_identical(
-        self, baseline, lab_bundle_small, executor_factory, transport
-    ):
-        result = self._run(lab_bundle_small, executor_factory(), transport)
+    def test_serial_baseline_matches_committed_digest(self, baseline):
+        _assert_committed_digest(
+            "federated_simulation",
+            self.DTYPE,
+            baseline.federated,
+            baseline.centralised,
+            baseline.local_only,
+            baseline.round_accuracies,
+            baseline.per_client_local,
+        )
+
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_seeded_results_identical(self, baseline, lab_bundle_small, executor_factory):
+        result = self._run(lab_bundle_small, executor_factory())
         assert baseline.federated == result.federated
         assert baseline.centralised == result.centralised
         assert baseline.local_only == result.local_only
@@ -163,58 +276,57 @@ class TestFederatedSimulationParity:
         assert baseline.per_client_local == result.per_client_local
 
 
-class TestServerParityFloat32(TestServerParity):
-    """The dtype axis of the parity contract (``docs/precision.md``).
-
-    A float32 detector federation must be bit-identical across every
-    executor/transport combination against its *own* float32 serial+legacy
-    baseline: the per-dtype RNG streams, the float32 codec transport and
-    the float32 shared buffers all have to agree for this to hold.
-    """
-
-    @staticmethod
-    def _run(executor, transport: str):
-        model_fn = DetectorFactory(
-            n_features=5, n_classes=2, hidden_dims=(8,), seed=0, dtype="float32"
-        )
-        transport = "payload" if transport == "legacy" else transport
-        with FederatedServer(
-            model_fn, _make_clients(3, model_fn), seed=0, executor=executor, transport=transport
-        ) as server:
-            server.run(3)
-            return server.global_state, server.history.rounds
-
-    def test_global_state_is_float32(self, baseline):
-        state, _rounds = baseline
-        assert {np.asarray(value).dtype for value in state.values()} == {
-            np.dtype(np.float32)
-        }
+#: A tiny KiNETGAN: two rounds of it exercise cross-round worker state.
+KINETGAN_CONFIG = KiNETGANConfig(
+    embedding_dim=8,
+    generator_dims=(16,),
+    discriminator_dims=(16,),
+    epochs=1,
+    batch_size=32,
+    knowledge_negatives_per_batch=8,
+    max_modes=3,
+    seed=0,
+)
 
 
 class TestDistributedSimulationParity:
-    @staticmethod
-    def _run(bundle, executor, transport: str):
-        transport = "payload" if transport == "legacy" else transport
+    DTYPE = "float64"
+
+    @classmethod
+    def _synthesis(cls) -> dict:
+        """How nodes synthesize their shares (constructor keywords)."""
+        return {"synthesizer_factory": lambda seed: IndependentSampler(seed=seed)}
+
+    @classmethod
+    def _run(cls, bundle, executor):
         with DistributedNIDSSimulation(
             bundle,
             num_nodes=3,
             non_iid_skew=0.5,
-            synthesizer_factory=lambda seed: IndependentSampler(seed=seed),
             seed=5,
             executor=executor,
-            transport=transport,
+            **cls._synthesis(),
         ) as simulation:
             return simulation.run(share_size=120)
 
     @pytest.fixture(scope="class")
     def baseline(self, lab_bundle_small):
-        return self._run(lab_bundle_small, None, "legacy")
+        return self._run(lab_bundle_small, None)
 
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
-    def test_seeded_results_identical(
-        self, baseline, lab_bundle_small, executor_factory, transport
-    ):
-        result = self._run(lab_bundle_small, executor_factory(), transport)
+    def test_serial_baseline_matches_committed_digest(self, baseline):
+        _assert_committed_digest(
+            "distributed_simulation",
+            self.DTYPE,
+            baseline.local_only,
+            baseline.synthetic_sharing,
+            baseline.centralised_real,
+            baseline.per_node_local,
+            baseline.share_validity,
+        )
+
+    @pytest.mark.parametrize("executor_factory", MATRIX)
+    def test_seeded_results_identical(self, baseline, lab_bundle_small, executor_factory):
+        result = self._run(lab_bundle_small, executor_factory())
         assert baseline.local_only == result.local_only
         assert baseline.synthetic_sharing == result.synthetic_sharing
         assert baseline.centralised_real == result.centralised_real
@@ -222,25 +334,28 @@ class TestDistributedSimulationParity:
         assert baseline.share_validity == result.share_validity
 
 
+class TestDistributedSimulationParityFloat32(TestDistributedSimulationParity):
+    """The independent sampler has no network dtype, so the float32 axis of
+    the distributed simulation runs each node's share through a float32
+    KiNETGAN instead."""
+
+    DTYPE = "float32"
+
+    @classmethod
+    def _synthesis(cls) -> dict:
+        return {"config": dataclasses.replace(KINETGAN_CONFIG, dtype="float32")}
+
+
 class TestFederatedKiNETGANParity:
     """Two rounds, so cross-round worker state (Adam moments, the trainer
     RNG, the KG head) is exercised: a resident site whose delta round-trip
     dropped any of it would diverge from the serial baseline in round 2."""
 
-    CONFIG = KiNETGANConfig(
-        embedding_dim=8,
-        generator_dims=(16,),
-        discriminator_dims=(16,),
-        epochs=1,
-        batch_size=32,
-        knowledge_negatives_per_batch=8,
-        max_modes=3,
-        seed=0,
-    )
+    DTYPE = "float64"
+    CONFIG = KINETGAN_CONFIG
 
     @classmethod
-    def _run(cls, bundle, executor, transport: str):
-        transport = "site" if transport == "legacy" else transport
+    def _run(cls, bundle, executor):
         table = bundle.table.head(300)
         rng = np.random.default_rng(0)
         parts = label_skew_partition(table, "label", 2, rng, skew=0.5, min_rows=20)
@@ -251,7 +366,6 @@ class TestFederatedKiNETGANParity:
             condition_columns=bundle.condition_columns,
             seed=0,
             executor=executor,
-            transport=transport,
         ) as fed:
             handles = [fed.add_site(f"site-{i}", part) for i, part in enumerate(parts)]
             fed.run(num_rounds=2, local_epochs=1)
@@ -266,14 +380,17 @@ class TestFederatedKiNETGANParity:
 
     @pytest.fixture(scope="class")
     def baseline(self, lab_bundle_small):
-        return self._run(lab_bundle_small, None, "legacy")
+        return self._run(lab_bundle_small, None)
 
-    @pytest.mark.parametrize("executor_factory,transport", MATRIX)
+    def test_serial_baseline_matches_committed_digest(self, baseline):
+        _assert_committed_digest("federated_kinetgan", self.DTYPE, *baseline)
+
+    @pytest.mark.parametrize("executor_factory", MATRIX)
     def test_global_weights_and_sample_bit_identical(
-        self, baseline, lab_bundle_small, executor_factory, transport
+        self, baseline, lab_bundle_small, executor_factory
     ):
         generator_state, discriminator_state, sample = self._run(
-            lab_bundle_small, executor_factory(), transport
+            lab_bundle_small, executor_factory()
         )
         _assert_states_equal(baseline[0], generator_state)
         _assert_states_equal(baseline[1], discriminator_state)
@@ -283,11 +400,12 @@ class TestFederatedKiNETGANParity:
 
 class TestFederatedKiNETGANParityFloat32(TestFederatedKiNETGANParity):
     """The dtype axis on the full model: a float32 federated KiNETGAN fit
-    must stay bit-identical across executors and transports against its own
-    float32 serial baseline, and its global states must actually be
-    float32 end to end (codec, shared buffers, aggregation)."""
+    must stay bit-identical across executors against its own float32
+    serial baseline, and its global states must actually be float32 end
+    to end (codec, shared buffers, aggregation)."""
 
-    CONFIG = dataclasses.replace(TestFederatedKiNETGANParity.CONFIG, dtype="float32")
+    DTYPE = "float32"
+    CONFIG = dataclasses.replace(KINETGAN_CONFIG, dtype="float32")
 
     def test_global_states_are_float32(self, baseline):
         generator_state, discriminator_state, _sample = baseline
@@ -316,7 +434,6 @@ class TestServerFaultRecoveryParity:
             _make_clients(3, model_fn),
             seed=0,
             executor=executor,
-            transport="resident",
             task_timeout=task_timeout,
             task_retries=2,
         ) as server:
@@ -352,12 +469,11 @@ class TestFederatedKiNETGANFaultRecovery:
         parts = label_skew_partition(table, "label", 2, rng, skew=0.5, min_rows=20)
         with FederatedKiNETGAN(
             reference_table=table.head(150),
-            config=TestFederatedKiNETGANParity.CONFIG,
+            config=KINETGAN_CONFIG,
             catalog=bundle.catalog,
             condition_columns=bundle.condition_columns,
             seed=0,
             executor=executor,
-            transport="resident",
             task_timeout=task_timeout,
             task_retries=2,
         ) as fed:

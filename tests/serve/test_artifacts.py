@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -216,7 +217,8 @@ class TestRejection:
             load_model(corrupted)
 
     def test_unwritable_format_version_rejected(self, fitted_kinetgan, tmp_path):
-        with pytest.raises(ArtifactError, match="format version"):
+        """save_model writes the current format only; it takes no version."""
+        with pytest.raises(TypeError, match="format_version"):
             save_model(fitted_kinetgan, tmp_path / "v999", format_version=999)
 
 
@@ -285,45 +287,48 @@ class TestFormatV2:
         assert path.exists()
 
 
-class TestFormatV1Compat:
-    """Artifacts written by older builds (pickled state.pkl) still load."""
+class _WritesMarker:
+    """Unpickling this object creates ``path``: proof that a pickle ran."""
 
-    @pytest.fixture(scope="class")
-    def v1_artifact(self, fitted_kinetgan, tmp_path_factory) -> Path:
-        directory = tmp_path_factory.mktemp("v1") / "kinetgan"
-        save_model(fitted_kinetgan, directory, format_version=1)
-        return directory
+    def __init__(self, path: Path) -> None:
+        self.path = str(path)
 
-    def test_v1_layout_on_disk(self, v1_artifact):
-        assert (v1_artifact / "state.pkl").exists()
-        assert not (v1_artifact / "state.npz").exists()
-        artifact = ModelArtifact.open(v1_artifact)
-        assert artifact.format_version == 1
-        assert artifact.state_path.name == "state.pkl"
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
-    def test_v1_bit_parity(self, fitted_kinetgan, v1_artifact):
-        loaded = load_model(v1_artifact)
-        assert_tables_identical(
-            fitted_kinetgan.sample(200, rng=sampling_rng(21)),
-            loaded.sample(200, rng=sampling_rng(21)),
+
+def _copy_artifact(source: Path, destination: Path, **manifest_changes) -> Path:
+    destination.mkdir()
+    for path in Path(source).iterdir():
+        (destination / path.name).write_bytes(path.read_bytes())
+    manifest = json.loads((destination / "manifest.json").read_text())
+    manifest.update(manifest_changes)
+    (destination / "manifest.json").write_text(json.dumps(manifest))
+    return destination
+
+
+class TestFormatV1Rejected:
+    """Format v1 (a pickled ``state.pkl``) is gone: no manifest can make
+    ``load_model`` unpickle, and the state is always ``<dir>/state.npz``."""
+
+    def test_downgraded_manifest_does_not_unpickle(self, kinetgan_artifact, tmp_path):
+        directory = _copy_artifact(
+            kinetgan_artifact, tmp_path / "downgraded", format_version=1, state_file="state.pkl"
         )
+        marker = tmp_path / "pickle-ran"
+        (directory / "state.pkl").write_bytes(pickle.dumps(_WritesMarker(marker)))
+        with pytest.raises(ArtifactError, match="format version"):
+            load_model(directory)
+        assert not marker.exists()
 
-    def test_v1_and_v2_load_identically(self, v1_artifact, kinetgan_artifact):
-        from_v1 = load_model(v1_artifact)
-        from_v2 = load_model(kinetgan_artifact)
-        assert_tables_identical(
-            from_v1.sample(100, rng=sampling_rng(33)),
-            from_v2.sample(100, rng=sampling_rng(33)),
-        )
-
-    def test_v1_independent_sampler_loads(self, train_table, tmp_path):
-        model = IndependentSampler(seed=5).fit(train_table)
-        save_model(model, tmp_path / "ind_v1", format_version=1)
-        loaded = load_model(tmp_path / "ind_v1")
-        assert_tables_identical(
-            model.sample(120, rng=sampling_rng(2)),
-            loaded.sample(120, rng=sampling_rng(2)),
-        )
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_state_file_outside_directory_rejected(self, kinetgan_artifact, tmp_path, where):
+        elsewhere = tmp_path / "elsewhere.npz"
+        elsewhere.write_bytes((Path(kinetgan_artifact) / "state.npz").read_bytes())
+        state_file = "../elsewhere.npz" if where == "relative" else str(elsewhere)
+        directory = _copy_artifact(kinetgan_artifact, tmp_path / "escape", state_file=state_file)
+        with pytest.raises(ArtifactError, match="state file"):
+            load_model(directory)
 
 
 class TestArtifactDtype:
@@ -331,8 +336,8 @@ class TestArtifactDtype:
 
     A float32 model must round-trip through ``save_model`` / ``load_model``
     with its dtype recorded in the manifest, its networks restored in
-    float32, and its samples bit-identical -- in-process, across a fresh
-    interpreter, and on both state formats.  A manifest whose declared
+    float32, and its samples bit-identical -- in-process and across a
+    fresh interpreter.  A manifest whose declared
     dtype disagrees with the restored networks must be rejected.
     """
 
@@ -377,16 +382,6 @@ class TestArtifactDtype:
         f64 = sum(p.stat().st_size for p in Path(kinetgan_artifact).glob("*.npz"))
         f32 = sum(p.stat().st_size for p in Path(float32_artifact).glob("*.npz"))
         assert f32 < 0.75 * f64
-
-    def test_v1_format_preserves_float32(self, fitted_float32, tmp_path):
-        save_model(fitted_float32, tmp_path / "f32_v1", format_version=1)
-        loaded = load_model(tmp_path / "f32_v1")
-        for name, network in loaded.artifact_networks().items():
-            assert np.dtype(network.dtype) == np.float32, name
-        assert_tables_identical(
-            fitted_float32.sample(150, rng=sampling_rng(8)),
-            loaded.sample(150, rng=sampling_rng(8)),
-        )
 
     def test_missing_dtype_key_accepted(self, float32_artifact, tmp_path):
         """Artifacts from before the precision tier carry no dtype key."""
