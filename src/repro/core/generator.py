@@ -11,6 +11,8 @@ discrete outputs stay differentiable during training.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.neural.layers import BatchNorm, Dense, Layer, ReLU, Residual
@@ -125,6 +127,31 @@ class TabularOutputActivation(Layer):
         self._cache = out if training else None
         return out
 
+    def decode_logits(self, values: np.ndarray) -> np.ndarray:
+        """Turn pre-activation ``values`` into decode inputs, in place.
+
+        Returns the per-block winners of ``forward(values, training=False)``,
+        bit-identical to its per-block argmax, without the softmax:
+        :meth:`BlockLayout.logit_winners` reads them off the logits and only
+        its near-tie rows go through :meth:`forward` itself.  The tanh
+        columns of ``values`` are then replaced by exactly what ``forward``
+        outputs there (the same take / tanh-in-place sequence, in the same
+        dtype); the one-hot columns keep their logits.  Allocates its own
+        buffers, so concurrent callers share no scratch.
+        """
+        layout = self._layout
+        winners, rows = layout.logit_winners(values, self.tau)
+        if rows.size:
+            winners[rows] = layout.argmax_matrix(self.forward(values[rows], training=False))
+        cols = self._tanh_columns
+        if cols.size:
+            # Taken along the transpose: one contiguous copy per column of
+            # the column-major sampling buffer.
+            span = np.take(values.T, cols, axis=0)
+            np.tanh(span, out=span)
+            values.T[cols] = span
+        return winners
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -206,10 +233,8 @@ class ConditionalGenerator:
         self.network.consolidate()
 
     # ------------------------------------------------------------------ #
-    def forward(
-        self, noise: np.ndarray, condition: np.ndarray | None, training: bool = True
-    ) -> np.ndarray:
-        """Generate a batch of transformed rows from noise and conditions."""
+    def _inputs(self, noise: np.ndarray, condition: np.ndarray | None) -> np.ndarray:
+        """The network input ``[z, C]`` in the network dtype."""
         dtype = self.network.dtype
         if condition is None:
             condition = np.zeros((noise.shape[0], self.condition_dim), dtype=dtype)
@@ -223,7 +248,43 @@ class ConditionalGenerator:
         if x.dtype != dtype:
             # Float64 inputs to a float32 network round once at the boundary.
             x = x.astype(dtype)
-        return self.network.forward(x, training=training)
+        return x
+
+    def forward(
+        self, noise: np.ndarray, condition: np.ndarray | None, training: bool = True
+    ) -> np.ndarray:
+        """Generate a batch of transformed rows from noise and conditions."""
+        return self.network.forward(self._inputs(noise, condition), training=training)
+
+    def sample_codes(
+        self, batches: Iterable[tuple[np.ndarray, np.ndarray | None]], n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hard-sample ``n`` rows as ``(values, winners)`` for ``DataTransformer.decode``.
+
+        ``batches`` yields the ``(noise, condition)`` chunks of the ``n``
+        rows in order.  Each chunk runs through every layer but the output
+        activation (inference mode) into one fresh ``(n, output_dim)``
+        buffer in the network dtype; the activation then decodes all rows
+        at once (:meth:`TabularOutputActivation.decode_logits`).  The result
+        is bit-identical to the per-block argmax and the tanh columns of
+        ``forward(noise, condition, training=False)`` chunk by chunk, but
+        skips the softmax, the one-hot hardening and the winner search over
+        the hardened matrix.  The buffer is column-major so the winner pass
+        reads each logit column as one contiguous vector.
+        """
+        *body, activation = self.network.layers
+        values = np.empty((self.output_dim, n), dtype=self.network.dtype).T
+        start = 0
+        for noise, condition in batches:
+            x = self._inputs(noise, condition)
+            for layer in body:
+                x = layer.forward(x, training=False)
+            # The copy also keeps step-workspace buffers from escaping.
+            values[start : start + x.shape[0]] = x
+            start += x.shape[0]
+        if start != n:
+            raise ValueError(f"batches covered {start} rows, expected {n}")
+        return values, activation.decode_logits(values)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Back-propagate into the generator; returns grad w.r.t. [z, C]."""

@@ -140,8 +140,8 @@ class KiNETGAN(Synthesizer):
         if conditions is not None:
             vector = self.sampler.vector_from_values(conditions)
             condition_matrix = np.tile(vector, (n, 1))
-        matrix = self.trainer.generate_matrix(n, conditions=condition_matrix, rng=rng)
-        return self.transformer.inverse_transform(matrix)
+        values, winners = self.trainer.generate_codes(n, conditions=condition_matrix, rng=rng)
+        return self.transformer.decode(values, winners)
 
     def sample_inputs(
         self,
@@ -153,10 +153,10 @@ class KiNETGAN(Synthesizer):
 
         Draws from ``rng`` in exactly the order :meth:`sample` does
         (conditions first, then one normal block -- chunked normal draws from
-        a ``Generator`` are stream-identical to a single draw), so a caller
-        that runs the generator forward on these inputs, hardens and decodes
-        reproduces ``sample(n, conditions, rng)`` bit-for-bit.  This is the
-        hook :class:`repro.serve.SamplingService` uses to micro-batch many
+        a ``Generator`` are stream-identical to a single draw), so
+        :meth:`sample_from_inputs` on these inputs reproduces
+        ``sample(n, conditions, rng)`` bit-for-bit.  This is the hook
+        :class:`repro.serve.SamplingService` uses to micro-batch many
         requests into one generator pass.
         """
         self._require_fitted(self._fitted)
@@ -172,17 +172,25 @@ class KiNETGAN(Synthesizer):
         noise = rng.normal(size=(n, self.config.embedding_dim))
         return noise, condition_matrix
 
-    def generator_forward(self, noise: np.ndarray, conditions: np.ndarray) -> np.ndarray:
-        """Raw (soft) generator output for prepared inputs (inference mode)."""
-        self._require_fitted(self._fitted)
-        assert self.trainer is not None
-        return self.trainer.generator.forward(noise, conditions, training=False)
+    def sample_from_inputs(
+        self, noise: np.ndarray, conditions: np.ndarray, chunk_rows: int
+    ) -> Table:
+        """Decode the rows of prepared :meth:`sample_inputs`.
 
-    def decode_matrix(self, matrix: np.ndarray) -> Table:
-        """Harden and decode a generated matrix into a typed table."""
+        The generator runs ``chunk_rows`` rows at a time.  The chunk size
+        never changes a row unless the row lands in a one-row chunk here or
+        in :meth:`sample` (which chunks at ``config.batch_size``): numpy runs
+        a one-row matmul as gemv, which rounds differently from gemm.
+        """
         self._require_fitted(self._fitted)
-        assert self.transformer is not None
-        return self.transformer.inverse_transform(self.transformer.harden(matrix, inplace=True))
+        assert self.trainer is not None and self.transformer is not None
+        n = noise.shape[0]
+        batches = (
+            (noise[start : start + chunk_rows], conditions[start : start + chunk_rows])
+            for start in range(0, n, chunk_rows)
+        )
+        values, winners = self.trainer.generator.sample_codes(batches, n)
+        return self.transformer.decode(values, winners)
 
     # ------------------------------------------------------------------ #
     # Artifact-state protocol (repro.serve)

@@ -24,6 +24,7 @@ keeps the public :class:`TrainingHistory` record format stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -349,6 +350,41 @@ class KiNETGANTrainer:
         matrix = self.generate_matrix(n)
         return self.kg_discriminator.validity_rate(matrix)
 
+    def _batches(
+        self, n: int, conditions: np.ndarray | None, rng: np.random.Generator | None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The ``(noise, condition)`` chunks a generated batch of ``n`` rows is
+        made of: the conditions are drawn first, then one normal draw per
+        ``batch_size`` chunk, lazily as the chunks are consumed."""
+        rng = rng if rng is not None else self.rng
+        if conditions is None:
+            conditions = self.sampler.empirical_conditions(n, rng)
+        if conditions.shape[0] != n:
+            raise ValueError("conditions batch size does not match n")
+        batch_size = self.config.batch_size
+        dim = self.config.embedding_dim
+        return (
+            (
+                rng.normal(size=(min(batch_size, n - start), dim)),
+                conditions[start : start + batch_size],
+            )
+            for start in range(0, n, batch_size)
+        )
+
+    def generate_codes(
+        self,
+        n: int,
+        conditions: np.ndarray | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Generate ``n`` rows as ``(values, winners)`` for ``DataTransformer.decode``.
+
+        Draws from ``rng`` exactly as :meth:`generate_matrix` does, and
+        decodes to the same rows as its hardened matrix, without the
+        softmax or the one-hot (see :meth:`ConditionalGenerator.sample_codes`).
+        """
+        return self.generator.sample_codes(self._batches(n, conditions, rng), n)
+
     def generate_matrix(
         self,
         n: int,
@@ -356,20 +392,20 @@ class KiNETGANTrainer:
         rng: np.random.Generator | None = None,
         hard: bool = True,
     ) -> np.ndarray:
-        """Generate ``n`` transformed rows (one-hot blocks hardened by default)."""
-        rng = rng if rng is not None else self.rng
-        if conditions is None:
-            conditions = self.sampler.empirical_conditions(n, rng)
-        if conditions.shape[0] != n:
-            raise ValueError("conditions batch size does not match n")
-        outputs: list[np.ndarray] = []
-        batch_size = self.config.batch_size
-        for start in range(0, n, batch_size):
-            end = min(start + batch_size, n)
-            noise = rng.normal(size=(end - start, self.config.embedding_dim))
-            fake = self.generator.forward(noise, conditions[start:end], training=False)
-            outputs.append(fake)
-        matrix = np.concatenate(outputs, axis=0)
-        if hard:
-            matrix = self.transformer.harden(matrix, inplace=True)
+        """Generate ``n`` transformed rows (one-hot blocks hardened by default).
+
+        The hard matrix is float64: the exact one-hots of the generator's
+        softmax winners next to its tanh columns.
+        """
+        if not hard:
+            outputs = [
+                self.generator.forward(noise, condition, training=False)
+                for noise, condition in self._batches(n, conditions, rng)
+            ]
+            return np.concatenate(outputs, axis=0)
+        values, winners = self.generate_codes(n, conditions, rng)
+        matrix = np.zeros((n, self.transformer.output_dim))
+        tanh_cols = self.transformer.tanh_columns()
+        matrix[:, tanh_cols] = values[:, tanh_cols]
+        self.transformer.softmax_layout().scatter_one_hot(matrix, winners)
         return matrix

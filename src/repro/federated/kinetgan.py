@@ -129,8 +129,8 @@ class FederatedKiNETGANSite:
 
     def sample(self, n: int, rng: np.random.Generator) -> Table:
         """Synthetic rows generated locally from the current weights."""
-        matrix = self.trainer.generate_matrix(n, rng=rng)
-        return self.transformer.inverse_transform(matrix)
+        values, winners = self.trainer.generate_codes(n, rng=rng)
+        return self.transformer.decode(values, winners)
 
     # ------------------------------------------------------------------ #
     # The mutable cross-round trainer state: everything a round changes

@@ -382,15 +382,17 @@ class FederatedServer:
     # ------------------------------------------------------------------ #
     def evaluate(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy of the current global model on a labelled set."""
-        predictions = self.global_model.forward(
-            np.asarray(features, dtype=np.float64), training=False
-        ).argmax(axis=1)
+        predictions = self.predict(features)
         return float((predictions == np.asarray(labels, dtype=int)).mean())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class predictions of the current global model."""
-        logits = self.global_model.forward(np.asarray(features, dtype=np.float64), training=False)
-        return logits.argmax(axis=1)
+        # Features enter in the model's dtype, as in FederatedClient.evaluate:
+        # a float32 Dense cannot write a float64 input's product into its
+        # float32 output buffer.
+        model = self.global_model
+        features = np.asarray(features, dtype=getattr(model, "dtype", np.float64))
+        return model.forward(features, training=False).argmax(axis=1)
 
     def epsilon(self) -> float | None:
         """Total DP budget spent so far (None when DP is disabled)."""

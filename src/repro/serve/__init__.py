@@ -16,7 +16,7 @@ The training layers produce fitted synthesizers; this package makes them
   artifacts into an LRU :class:`ModelRegistry` (optionally warmed in
   parallel over :mod:`repro.runtime` executors), micro-batches concurrent
   ``sample(n, conditions)`` requests into single vectorized generator /
-  harden / decode passes, and streams large requests in bounded-memory
+  decode passes, and streams large requests in bounded-memory
   chunks.
 * :mod:`repro.serve.server` -- the HTTP front-end:
   :class:`SamplingHTTPServer` over a :class:`ServingPool` of executor

@@ -11,10 +11,9 @@ Two pieces:
   all requests against the same conditional-GAN artifact are coalesced
   into one concatenated generator pass (noise and condition matrices are
   drawn per request from that request's seeded stream, so every row is
-  bit-identical to what ``model.sample(n, seed)`` would produce), hardened
-  and decoded through the shared :class:`~repro.tabular.segments.
-  BlockLayout` machinery in a single batched pass, then split back per
-  request.  ``sample_stream()`` yields fixed-size chunks so arbitrarily
+  bit-identical to what ``model.sample(n, seed)`` would produce), decoded
+  from the generator's logits in a single batched pass, then split back
+  per request.  ``sample_stream()`` yields fixed-size chunks so arbitrarily
   large requests run in bounded memory.  ``submit()`` is the concurrent
   front-end: requests land on a queue and a background batcher drains
   bursts into ``sample_many``.
@@ -249,7 +248,7 @@ class SamplingService:
         """Serve a burst of requests, coalescing per artifact.
 
         Results come back in request order.  Requests against the same
-        conditional-GAN artifact share generator / harden / decode passes;
+        conditional-GAN artifact share generator / decode passes;
         other model types are served per request.
         """
         if not requests:
@@ -299,10 +298,12 @@ class SamplingService:
         Noise and condition matrices are drawn per request from that
         request's own seeded stream (bit-identical to ``model.sample``),
         then concatenated: the generator forward runs in ``max_batch_rows``
-        chunks over the stacked inputs, and hardening + decoding run once
-        over the whole stack through the shared ``BlockLayout`` passes.
+        chunks over the stacked inputs, and the winners and the decode run
+        once over the whole stack (``KiNETGAN.sample_from_inputs``).
         Row-chunked forward passes are bit-identical to unchunked ones, so
-        batching never changes a request's rows.
+        batching never changes a request's rows -- except a row that lands
+        in a one-row chunk on one side only (numpy runs a one-row matmul as
+        gemv, which rounds differently from gemm).
         """
         noises: list[np.ndarray] = []
         conditions: list[np.ndarray] = []
@@ -313,14 +314,8 @@ class SamplingService:
             conditions.append(condition)
         noise = np.concatenate(noises, axis=0)
         condition = np.concatenate(conditions, axis=0)
-        total = noise.shape[0]
-        outputs: list[np.ndarray] = []
-        passes = 0
-        for start in range(0, total, self.max_batch_rows):
-            end = min(start + self.max_batch_rows, total)
-            outputs.append(model.generator_forward(noise[start:end], condition[start:end]))
-            passes += 1
-        table = model.decode_matrix(np.concatenate(outputs, axis=0))
+        table = model.sample_from_inputs(noise, condition, self.max_batch_rows)
+        passes = -(-noise.shape[0] // self.max_batch_rows)
         tables: list[Table] = []
         cursor = 0
         for request in group:
@@ -362,9 +357,8 @@ class SamplingService:
         noise, condition = model.sample_inputs(n, conditions, rng)
         for start in range(0, n, chunk_rows):
             end = min(start + chunk_rows, n)
-            raw = model.generator_forward(noise[start:end], condition[start:end])
             self.stats.record(requests=0, rows=end - start, passes=1)
-            yield model.decode_matrix(raw)
+            yield model.sample_from_inputs(noise[start:end], condition[start:end], chunk_rows)
 
     # ------------------------------------------------------------------ #
     # Concurrent front-end

@@ -147,13 +147,64 @@ class BlockLayout:
                 return candidates
         return self.argmax_matrix(matrix)
 
-    def one_hot_from_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Exact one-hot gathered region from block-local winner indices."""
-        rows = codes.shape[0]
-        out = np.zeros((rows, self.total), dtype=np.float64)
-        flat = self.starts[None, :] + codes
-        out[np.arange(rows)[:, None], flat] = 1.0
-        return out
+    def logit_winners(self, matrix: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block winners of the noise-free :meth:`softmax`, read off its logits.
+
+        ``matrix`` holds pre-activation logits over the full width.  The
+        temperature softmax is monotone, so a block's softmax winner is its
+        logit argmax -- unless rounding ties the runner-up with the peak.
+        The softmax gives the peak exactly ``exp(0) / S = 1 / S``.  A
+        runner-up more than ``tau * 256 * eps`` below the peak (``eps`` of
+        the logits' dtype) gets ``exp((x - peak) / tau) <= exp(-256 * eps)``,
+        which rounds hundreds of ulps below 1; divided by the same ``S`` it
+        still rounds strictly below ``1 / S``, so the argmax cannot change.
+
+        Returns ``(winners, fallback)``: ``(rows, n_blocks)`` block-local
+        indices, and the sorted rows the certificate cannot vouch for -- a
+        runner-up inside the window (exact ties included), a NaN or ``+inf``
+        logit, or an all ``-inf`` block.  Their winners here are only
+        provisional; the caller recomputes them exactly (softmax, then
+        argmax).  A ``-inf`` logit below a finite peak is exact
+        (``exp(-inf) = 0``).
+
+        The scan runs over the transposed logits, one contiguous vector per
+        column, so a column-major ``matrix`` (the generator's sampling
+        buffer) is read without a copy.
+        """
+        rows = matrix.shape[0]
+        logits = matrix.T
+        if not logits.flags.c_contiguous:
+            logits = np.ascontiguousarray(logits)
+        window = tau * 256 * np.finfo(logits.dtype).eps
+        winners = np.zeros((self.n_blocks, rows), dtype=np.intp)
+        exact = np.ones(rows, dtype=bool)
+        peak = np.empty(rows, dtype=logits.dtype)
+        runner_up = np.empty_like(peak)
+        scratch = np.empty_like(peak)
+        ahead = np.empty(rows, dtype=bool)
+        for block, (start, end) in enumerate(self.bounds):
+            np.copyto(peak, logits[start])
+            runner_up.fill(-np.inf)
+            winner = winners[block]
+            for j in range(1, end - start):
+                x = logits[start + j]
+                # Strictly greater: ties keep the lowest index, as argmax.
+                np.greater(x, peak, out=ahead)
+                np.copyto(winner, j, where=ahead)
+                np.minimum(peak, x, out=scratch)
+                np.maximum(runner_up, scratch, out=runner_up)
+                np.maximum(peak, x, out=peak)
+            with np.errstate(invalid="ignore"):
+                np.subtract(peak, runner_up, out=scratch)
+            exact &= scratch > window
+            exact &= peak < np.inf
+        return winners.T, np.flatnonzero(~exact)
+
+    def scatter_one_hot(self, matrix: np.ndarray, winners: np.ndarray) -> None:
+        """Write every block of ``matrix`` as the exact one-hot of ``winners``."""
+        matrix[:, self.columns] = 0.0
+        rows = np.arange(matrix.shape[0])[:, None]
+        matrix[rows, self.columns[self.starts[None, :] + winners]] = 1.0
 
     @staticmethod
     def _scratch_buffer(

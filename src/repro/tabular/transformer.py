@@ -141,6 +141,9 @@ class _DecodePlan:
             self.mode_hi = np.asarray(mode_high)
 
     def decode(self, matrix: np.ndarray, winners: np.ndarray) -> dict[str, np.ndarray]:
+        # Only the scalar (tanh) columns of ``matrix`` are read, each cast to
+        # float64 exactly, so a float32 or column-major matrix decodes the
+        # same as its float64 copy.
         columns: dict[str, np.ndarray] = {}
         if self.cat_names:
             decoded = self.cat_table[self.cat_rows, winners[:, self.cat_blocks]]
@@ -148,14 +151,15 @@ class _DecodePlan:
                 columns[name] = decoded[:, i]
         if self.mode_names:
             modes = winners[:, self.mode_blocks]
-            alpha = np.clip(matrix[:, self.mode_alpha_cols], -1.0, 1.0)
+            alpha = np.asarray(matrix[:, self.mode_alpha_cols], dtype=np.float64)
+            alpha = np.clip(alpha, -1.0, 1.0)
             mu = self.mode_mu[self.mode_rows, modes]
             sigma = self.mode_sigma[self.mode_rows, modes]
             values = np.clip(alpha * 4.0 * sigma + mu, self.mode_lo, self.mode_hi)
             for i, name in enumerate(self.mode_names):
                 columns[name] = values[:, i]
         for name, encoder, start, minimum, maximum in self.minmax:
-            values = encoder.inverse_transform(matrix[:, start])
+            values = encoder.inverse_transform(np.asarray(matrix[:, start], dtype=np.float64))
             if minimum is not None:
                 values = np.maximum(values, minimum)
             if maximum is not None:
@@ -358,14 +362,17 @@ class DataTransformer:
     def harden(self, matrix: np.ndarray, inplace: bool = False) -> np.ndarray:
         """Convert soft one-hot blocks to exact one-hot by per-block argmax.
 
-        This is the single hardening path shared by every synthesizer's
-        sampling code.  It makes one pass over the cached softmax spans with
-        numpy fancy indexing -- no per-block temporaries -- and copies the
-        input at most once.  ``inplace=True`` is a copy-avoidance hint for
-        callers that own the matrix: when the input is already a float64
-        array it is hardened in place and returned; otherwise the dtype
-        conversion still produces (and returns) a new array, so callers
-        must always use the return value.  ``tanh`` spans are untouched.
+        This is the hardening path of the synthesizers that decode soft
+        matrices (TVAE, PATEGAN, TableGAN); the conditional GANs decode
+        winners straight from generator logits instead
+        (:meth:`BlockLayout.logit_winners`).  It makes one pass over the
+        cached softmax spans with numpy fancy indexing -- no per-block
+        temporaries -- and copies the input at most once.  ``inplace=True``
+        is a copy-avoidance hint for callers that own the matrix: when the
+        input is already a float64 array it is hardened in place and
+        returned; otherwise the dtype conversion still produces (and
+        returns) a new array, so callers must always use the return value.
+        ``tanh`` spans are untouched.
         """
         self._require_fitted()
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -418,8 +425,8 @@ class DataTransformer:
         """Decode a (possibly soft) matrix back into a typed table.
 
         The winner of every one-hot / mode block is found in one batched
-        segmented-argmax pass over the gathered softmax columns; category
-        values are then materialised with one fancy index per column.
+        segmented-argmax pass over the gathered softmax columns, then
+        :meth:`decode` materialises the table.
         """
         self._require_fitted()
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -427,13 +434,31 @@ class DataTransformer:
             raise ValueError(
                 f"expected matrix of width {self.output_dim}, got shape {matrix.shape}"
             )
-        layout = self.softmax_layout()
-        winners = layout.winners(matrix)
+        return self.decode(matrix, self.softmax_layout().winners(matrix))
+
+    def decode(self, values: np.ndarray, winners: np.ndarray) -> Table:
+        """Decode scalar columns plus per-block winners into a typed table.
+
+        ``winners`` holds the block-local index of every one-hot / mode
+        block, in :meth:`softmax_layout` order.  Only the scalar (tanh)
+        columns of ``values`` are read, in float64, so ``values`` may be in
+        any float dtype and its one-hot columns may hold anything -- raw
+        generator logits included.  Category values are materialised with
+        one fancy index per column.
+        """
+        self._require_fitted()
+        if values.ndim != 2 or values.shape[1] != self.output_dim:
+            raise ValueError(
+                f"expected matrix of width {self.output_dim}, got shape {values.shape}"
+            )
+        expected = (values.shape[0], self.softmax_layout().n_blocks)
+        if winners.shape != expected:
+            raise ValueError(f"expected winners of shape {expected}, got {winners.shape}")
         if self._decode_plan is None:
             self._decode_plan = _DecodePlan(self)
         # Schema bound clamping for continuous columns happens inside the
         # plan (the bounds are baked into the padded decode tables).
-        return Table(self.schema, self._decode_plan.decode(matrix, winners))
+        return Table(self.schema, self._decode_plan.decode(values, winners))
 
     # ------------------------------------------------------------------ #
     def apply_output_activations(self, raw: np.ndarray, gumbel_tau: float = 0.2,
@@ -442,8 +467,10 @@ class DataTransformer:
         """Apply per-block output activations to raw generator scores.
 
         ``tanh`` blocks get a tanh; ``softmax`` blocks get a (Gumbel) softmax.
-        With ``hard=True`` the softmax blocks are converted to exact one-hot
-        vectors by argmax, which is what sampling-time decoding uses.
+        With ``hard=True`` the softmax blocks are the exact one-hot vectors of
+        the noise-free softmax's argmax, read off the logits by
+        :meth:`BlockLayout.logit_winners` (only its near-tie rows compute
+        the softmax).
 
         All softmax blocks are processed together via the cached
         :class:`BlockLayout` (one gather, one Gumbel-noise draw, segmented
@@ -457,13 +484,15 @@ class DataTransformer:
         tanh_cols = self.tanh_columns()
         out[:, tanh_cols] = np.tanh(raw[:, tanh_cols])
         layout = self.softmax_layout()
-        if layout.n_blocks:
+        if layout.n_blocks and hard:
+            winners, rows = layout.logit_winners(raw, gumbel_tau)
+            if rows.size:
+                exact = layout.softmax(layout.gather(raw[rows]), tau=gumbel_tau)
+                winners[rows] = layout.argmax(exact)
+            layout.scatter_one_hot(out, winners)
+        elif layout.n_blocks:
             gathered = layout.gather(raw)
-            if not hard:
-                uniform = rng.uniform(1e-12, 1 - 1e-12, size=gathered.shape)
-                gathered = gathered - np.log(-np.log(uniform)) * gumbel_tau
-            soft = layout.softmax(gathered, tau=gumbel_tau)
-            if hard:
-                soft = layout.one_hot_from_codes(layout.argmax(soft))
-            layout.scatter(out, soft)
+            uniform = rng.uniform(1e-12, 1 - 1e-12, size=gathered.shape)
+            gathered = gathered - np.log(-np.log(uniform)) * gumbel_tau
+            layout.scatter(out, layout.softmax(gathered, tau=gumbel_tau))
         return out

@@ -16,6 +16,7 @@ import pytest
 from repro.federated.client import ClientUpdate, FederatedClient
 from repro.federated.dp import DPFedAvgConfig
 from repro.federated.server import FederatedServer
+from repro.federated.simulation import DetectorFactory
 from repro.neural.layers import Dense, ReLU
 from repro.neural.network import Sequential
 
@@ -123,6 +124,22 @@ class TestFederatedServer:
         assert history.n_rounds == 6
         assert history.final_accuracy is not None
         assert history.final_accuracy > 0.9
+
+    def test_float32_detector_evaluates_and_predicts(self):
+        factory = DetectorFactory(
+            n_features=4, n_classes=2, hidden_dims=(16,), seed=0, dtype="float32"
+        )
+        clients = []
+        for i in range(2):
+            X, y = make_blobs(120, seed=10 + i)
+            clients.append(
+                FederatedClient(client_id=f"c{i}", features=X, labels=y, model_fn=factory, seed=i)
+            )
+        X_test, y_test = make_blobs(200, seed=99)
+        server = FederatedServer(factory, clients, seed=0)
+        history = server.run(3, eval_features=X_test, eval_labels=y_test)
+        assert history.final_accuracy > 0.9
+        assert server.predict(X_test).shape == (200,)
 
     def test_client_sampling_selects_subset(self):
         clients = make_clients(4)

@@ -13,8 +13,10 @@ single remaining transport is held to the old reference semantics.  A
 digest is only comparable under the numpy and BLAS build it was recorded
 with (:data:`RECORDED_ENVIRONMENT`); anywhere else the digest test fails
 naming the mismatch and the digest it computed, so a new environment is
-re-recorded deliberately rather than skipped.  The digests hold for any
-BLAS thread count.
+re-recorded deliberately rather than skipped.  At these sizes the
+digests hold at 1 and 2 BLAS threads alike; a full-size fit does not,
+because the BLAS thread count is an input of the determinism contract
+(``docs/architecture.md``).
 
 The contract is *per dtype* (``docs/precision.md``): the ``*Float32``
 classes rerun the matrix with float32 engines against their own float32
@@ -64,6 +66,9 @@ DIGESTS = {
     },
     "federated_simulation": {
         "float64": "6b514ba97097ec0afdda3f5e4ec9a7c90232163b8ad6988b408895f7369b5111",
+        # Equal to float64's: the digest covers accuracies only, and every
+        # prediction of these small float32 detectors agrees with float64's.
+        "float32": "6b514ba97097ec0afdda3f5e4ec9a7c90232163b8ad6988b408895f7369b5111",
     },
     "distributed_simulation": {
         "float64": "1823af56be4109af1e37e8d638f63aed97788a9d9836764ae1fc5f4cb207f171",
@@ -234,12 +239,21 @@ class TestServerParityFloat32(TestServerParity):
         }
 
 
+class _Float32DetectorSimulation(FederatedNIDSSimulation):
+    """The federated NIDS simulation with float32 detectors: every detector
+    it trains comes from this one factory."""
+
+    def _model_fn(self, n_features: int, n_classes: int) -> DetectorFactory:
+        return dataclasses.replace(super()._model_fn(n_features, n_classes), dtype="float32")
+
+
 class TestFederatedSimulationParity:
     DTYPE = "float64"
+    SIMULATION = FederatedNIDSSimulation
 
     @classmethod
     def _run(cls, bundle, executor):
-        with FederatedNIDSSimulation(
+        with cls.SIMULATION(
             bundle,
             num_clients=3,
             skew=0.5,
@@ -274,6 +288,20 @@ class TestFederatedSimulationParity:
         assert baseline.local_only == result.local_only
         assert baseline.round_accuracies == result.round_accuracies
         assert baseline.per_client_local == result.per_client_local
+
+
+class TestFederatedSimulationParityFloat32(TestFederatedSimulationParity):
+    """Float32 detectors through the whole simulation -- local-only,
+    federated and centralised training, and the server's evaluation and
+    prediction -- bit-identical across executors against their own float32
+    serial baseline."""
+
+    DTYPE = "float32"
+    SIMULATION = _Float32DetectorSimulation
+
+    def test_detectors_are_float32(self, lab_bundle_small):
+        simulation = self.SIMULATION(lab_bundle_small)
+        assert simulation._model_fn(4, 2)().dtype == np.float32
 
 
 #: A tiny KiNETGAN: two rounds of it exercise cross-round worker state.
