@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -173,23 +174,34 @@ class KiNETGAN(Synthesizer):
         return noise, condition_matrix
 
     def sample_from_inputs(
-        self, noise: np.ndarray, conditions: np.ndarray, chunk_rows: int
+        self, noise: np.ndarray, conditions: np.ndarray, sizes: Sequence[int] | None = None
     ) -> Table:
-        """Decode the rows of prepared :meth:`sample_inputs`.
+        """Decode the rows of prepared :meth:`sample_inputs`, for one or more requests.
 
-        The generator runs ``chunk_rows`` rows at a time.  The chunk size
-        never changes a row unless the row lands in a one-row chunk here or
-        in :meth:`sample` (which chunks at ``config.batch_size``): numpy runs
-        a one-row matmul as gemv, which rounds differently from gemm.
+        ``noise`` and ``conditions`` stack the inputs of consecutive
+        requests of ``sizes`` rows (default: one request of all rows).  Each
+        request's rows run through the generator in ``config.batch_size``
+        chunks counted from its own first row, exactly as :meth:`sample`
+        chunks them; the winners and the decode then run once over every
+        row.  Keeping the chunks is what keeps the rows bit-identical to
+        ``sample()``: BLAS may pick its kernel by a chunk's row count, so a
+        row's logits can depend on the size of the chunk it rides in.
         """
         self._require_fitted(self._fitted)
         assert self.trainer is not None and self.transformer is not None
         n = noise.shape[0]
-        batches = (
-            (noise[start : start + chunk_rows], conditions[start : start + chunk_rows])
-            for start in range(0, n, chunk_rows)
-        )
-        values, winners = self.trainer.generator.sample_codes(batches, n)
+        sizes = [n] if sizes is None else sizes
+        step = self.config.batch_size
+
+        def batches():
+            offset = 0
+            for size in sizes:
+                for start in range(offset, offset + size, step):
+                    stop = min(start + step, offset + size)
+                    yield noise[start:stop], conditions[start:stop]
+                offset += size
+
+        values, winners = self.trainer.generator.sample_codes(batches(), n)
         return self.transformer.decode(values, winners)
 
     # ------------------------------------------------------------------ #

@@ -28,7 +28,12 @@ class TrainingEngine:
       :meth:`request_stop`.
 
     ``run()`` returns the engine's :class:`History`; ``epochs_run`` and
-    ``stop_reason`` describe how the loop actually ended.
+    ``stop_reason`` describe how the loop actually ended.  ``run()`` is
+    single-use: when it returns (or raises) the engine drops the step and
+    the caller's callbacks, which reach back into the model being trained,
+    so a model that keeps its engine forms no reference cycle and is freed
+    as soon as it is dropped.  ``history``, ``epochs_run`` and
+    ``stop_reason`` stay readable.
     """
 
     def __init__(
@@ -73,6 +78,16 @@ class TrainingEngine:
 
     def run(self) -> History:
         """Execute the loop and return the per-epoch metric history."""
+        if self.step is None:
+            raise RuntimeError("TrainingEngine.run() is single-use; build a new engine")
+        try:
+            self._run()
+        finally:
+            self.step = None
+            self.callbacks = CallbackList([self.history])
+        return self.history
+
+    def _run(self) -> None:
         self.stop_training = False
         self.stop_reason = None
         self.epochs_run = 0
@@ -97,4 +112,3 @@ class TrainingEngine:
                 if self.stop_training:
                     break
         self.callbacks.on_train_end(self)
-        return self.history

@@ -26,9 +26,11 @@ second host can request synthetic traffic.  Three pieces:
 Determinism contract, unchanged from the in-process service: the rows of a
 response depend only on ``(artifact, n, conditions, seed)``.  A client on
 localhost receives samples **bit-identical** to ``model.sample(n, seed)``
-in-process -- continuous columns ride JSON via ``repr`` round-tripping
-(exact for float64), categorical values are JSON-native strings/ints --
-enforced by ``tests/serve/test_server.py``.
+in-process -- ``orjson`` writes each continuous value in the shortest
+decimal that round-trips (exact for float64 in any correct JSON parser),
+categorical values are JSON-native strings/ints/arrays -- enforced by
+``tests/serve/test_server.py``.  Every response body, and every request
+body the module parses, goes through ``orjson``.
 
 Operator documentation (knobs, capacity planning, runbook) lives in
 ``docs/serving.md``.
@@ -36,7 +38,6 @@ Operator documentation (knobs, capacity planning, runbook) lives in
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
@@ -47,11 +48,14 @@ from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
+import orjson
+
 from repro.engine import sampling_rng
 from repro.obs import MetricsRegistry, default_registry
 from repro.runtime import Executor, TaskPolicy, resolve_executor
 from repro.serve.artifact import ArtifactError, ModelArtifact, load_model
-from repro.tabular.schema import TableSchema
+from repro.tabular.schema import TableSchema, as_hashable
 from repro.tabular.table import Table
 
 __all__ = [
@@ -68,12 +72,20 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # Wire format
 # --------------------------------------------------------------------------- #
+def _dumps(document: dict) -> bytes:
+    """Compact JSON bytes for ``document``, from ``orjson``'s C encoder."""
+    return orjson.dumps(document, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
 def table_to_wire(table: Table) -> dict:
     """JSON-serialisable ``{"schema", "columns"}`` document for a table.
 
-    Exact: float64 columns serialise through Python ``repr`` (the shortest
-    round-tripping decimal), categorical values are native JSON strings or
-    ints, and the schema rides its own ``to_dict`` form.
+    Exact in any encoder that writes the shortest round-tripping decimal
+    (the server's ``orjson`` and stdlib ``json`` both do): continuous
+    columns are lists of float64 values, categorical values are native
+    JSON strings, ints or arrays (tuples), and the schema rides its own
+    ``to_dict`` form.  JSON has no NaN or infinity: ``orjson`` writes a
+    non-finite value as ``null``.
     """
     return {
         "schema": table.schema.to_dict(),
@@ -82,9 +94,26 @@ def table_to_wire(table: Table) -> dict:
 
 
 def table_from_wire(document: dict) -> Table:
-    """Rebuild a :class:`~repro.tabular.table.Table` from its wire document."""
+    """Rebuild a :class:`~repro.tabular.table.Table` from its parsed wire document.
+
+    Each column is built straight in its storage dtype: float64 for
+    continuous columns (a JSON ``null`` reads back as NaN), object for
+    categorical ones.  JSON arrays in a column with tuple categories come
+    back as tuples.
+    """
     schema = TableSchema.from_dict(document["schema"])
-    return Table(schema, {name: document["columns"][name] for name in schema.names})
+    columns = {}
+    for spec in schema:
+        values = document["columns"][spec.name]
+        if spec.is_continuous:
+            columns[spec.name] = np.array(values, dtype=np.float64)
+        elif any(isinstance(category, tuple) for category in spec.categories):
+            columns[spec.name] = np.fromiter(
+                map(as_hashable, values), dtype=object, count=len(values)
+            )
+        else:
+            columns[spec.name] = np.array(values, dtype=object)
+    return Table(schema, columns)
 
 
 # --------------------------------------------------------------------------- #
@@ -333,7 +362,7 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _respond(self, status: int, document: dict, headers: dict | None = None) -> int:
-        body = json.dumps(document).encode("utf-8")
+        body = _dumps(document)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -398,8 +427,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HTTPError(400, "empty request body")
         raw = self.rfile.read(length)
         try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            body = orjson.loads(raw)
+        except orjson.JSONDecodeError as error:
             raise _HTTPError(400, f"malformed JSON body: {error}")
         if not isinstance(body, dict):
             raise _HTTPError(400, "request body must be a JSON object")
@@ -772,7 +801,7 @@ class SamplingHTTPServer:
 def fetch_json(url: str, path: str, timeout: float = 30.0) -> dict:
     """GET ``url + path`` and parse the JSON document (e.g. ``/health``)."""
     with urllib.request.urlopen(url.rstrip("/") + path, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+        return orjson.loads(response.read())
 
 
 def request_samples(
@@ -790,9 +819,7 @@ def request_samples(
     The returned table is bit-identical to the in-process
     ``model.sample(n, conditions, sampling_rng(seed))``.
     """
-    body = json.dumps(
-        {"artifact": artifact, "n": n, "conditions": conditions, "seed": seed}
-    ).encode("utf-8")
+    body = _dumps({"artifact": artifact, "n": n, "conditions": conditions, "seed": seed})
     request = urllib.request.Request(
         url.rstrip("/") + "/sample",
         data=body,
@@ -800,4 +827,4 @@ def request_samples(
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        return table_from_wire(json.loads(response.read().decode("utf-8")))
+        return table_from_wire(orjson.loads(response.read()))

@@ -205,19 +205,17 @@ class SamplingService:
         self,
         registry: ModelRegistry | None = None,
         capacity: int = 4,
-        max_batch_rows: int = 8192,
         chunk_rows: int = 1024,
         max_pending: int = 64,
         request_timeout: float | None = None,
     ) -> None:
-        if max_batch_rows < 1 or chunk_rows < 1:
-            raise ValueError("max_batch_rows and chunk_rows must be positive")
+        if chunk_rows < 1:
+            raise ValueError("chunk_rows must be positive")
         if max_pending < 1:
             raise ValueError("max_pending must be positive")
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError("request_timeout must be positive (or None)")
         self.registry = registry if registry is not None else ModelRegistry(capacity=capacity)
-        self.max_batch_rows = max_batch_rows
         self.chunk_rows = chunk_rows
         self.max_pending = max_pending
         #: Per-request deadline of the concurrent front-end: a submitted
@@ -261,7 +259,8 @@ class SamplingService:
             model = self.registry.get(key)
             group = [requests[i] for i in indices]
             if isinstance(model, KiNETGAN):
-                tables, passes = self._serve_conditional_gan(model, group)
+                tables = self._serve_conditional_gan(model, group)
+                passes = 1
             else:
                 tables = [
                     model.sample(
@@ -290,20 +289,15 @@ class SamplingService:
         seed = request.seed if request.seed is not None else cls._default_seed(model)
         return sampling_rng(seed)
 
-    def _serve_conditional_gan(
-        self, model: KiNETGAN, group: list[SampleRequest]
-    ) -> tuple[list[Table], int]:
+    def _serve_conditional_gan(self, model: KiNETGAN, group: list[SampleRequest]) -> list[Table]:
         """One vectorized pipeline pass for all requests against ``model``.
 
         Noise and condition matrices are drawn per request from that
         request's own seeded stream (bit-identical to ``model.sample``),
-        then concatenated: the generator forward runs in ``max_batch_rows``
-        chunks over the stacked inputs, and the winners and the decode run
-        once over the whole stack (``KiNETGAN.sample_from_inputs``).
-        Row-chunked forward passes are bit-identical to unchunked ones, so
-        batching never changes a request's rows -- except a row that lands
-        in a one-row chunk on one side only (numpy runs a one-row matmul as
-        gemv, which rounds differently from gemm).
+        then concatenated: ``KiNETGAN.sample_from_inputs`` runs each
+        request's rows through the generator in the ``batch_size`` chunks
+        ``model.sample`` uses, and the winners and the decode once over the
+        whole stack, so batching never changes a request's rows.
         """
         noises: list[np.ndarray] = []
         conditions: list[np.ndarray] = []
@@ -314,14 +308,13 @@ class SamplingService:
             conditions.append(condition)
         noise = np.concatenate(noises, axis=0)
         condition = np.concatenate(conditions, axis=0)
-        table = model.sample_from_inputs(noise, condition, self.max_batch_rows)
-        passes = -(-noise.shape[0] // self.max_batch_rows)
+        table = model.sample_from_inputs(noise, condition, [request.n for request in group])
         tables: list[Table] = []
         cursor = 0
         for request in group:
             tables.append(table.select_rows(np.arange(cursor, cursor + request.n)))
             cursor += request.n
-        return tables, passes
+        return tables
 
     # ------------------------------------------------------------------ #
     # Streaming API
@@ -355,10 +348,24 @@ class SamplingService:
                 yield table.select_rows(np.arange(start, min(start + chunk_rows, n)))
             return
         noise, condition = model.sample_inputs(n, conditions, rng)
+        # Rows are generated in whole ``batch_size`` chunks counted from
+        # row 0, as ``model.sample`` chunks them, so a chunk_rows boundary
+        # never splits a generator chunk; rows generated past a boundary
+        # wait in ``ready`` for the next yield.
+        step = model.config.batch_size
+        ready = None
+        generated = 0
         for start in range(0, n, chunk_rows):
             end = min(start + chunk_rows, n)
-            self.stats.record(requests=0, rows=end - start, passes=1)
-            yield model.sample_from_inputs(noise[start:end], condition[start:end], chunk_rows)
+            passes = 0
+            if generated < end:
+                stop = min(n, -(-end // step) * step)
+                fresh = model.sample_from_inputs(noise[generated:stop], condition[generated:stop])
+                ready = fresh if ready is None else ready.concat(fresh)
+                generated, passes = stop, 1
+            self.stats.record(requests=0, rows=end - start, passes=passes)
+            yield ready.select_rows(np.arange(end - start))
+            ready = ready.select_rows(np.arange(end - start, ready.n_rows))
 
     # ------------------------------------------------------------------ #
     # Concurrent front-end

@@ -10,11 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ColumnSpec", "TableSchema", "CATEGORICAL", "CONTINUOUS"]
+__all__ = ["ColumnSpec", "TableSchema", "CATEGORICAL", "CONTINUOUS", "as_hashable"]
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
 _KINDS = (CATEGORICAL, CONTINUOUS)
+
+
+def as_hashable(value):
+    """``value`` with every list turned into a tuple, recursively.
+
+    JSON has no tuple type: a tuple category value comes back from a JSON
+    document as an array, which this restores to the tuple it was.
+    """
+    if isinstance(value, list):
+        return tuple(as_hashable(item) for item in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -170,7 +181,7 @@ class TableSchema:
                 ColumnSpec(
                     name=c["name"],
                     kind=c["kind"],
-                    categories=tuple(c.get("categories", ())),
+                    categories=tuple(map(as_hashable, c.get("categories", ()))),
                     minimum=c.get("minimum"),
                     maximum=c.get("maximum"),
                     sensitive=c.get("sensitive", False),

@@ -304,12 +304,11 @@ def test_fallback_keeps_real_samples_exact(forced_ties, monkeypatch):
 
 
 def test_sampling_service_paths_match_oracle(kinetgan, tmp_path):
-    # No size leaves a 1-row generator chunk on either side: numpy runs a
-    # 1-row matmul as gemv, whose rounding differs from the gemm of a
-    # longer chunk, so such rows differ between chunkings on any path.
+    # The sizes leave 1-row and short tail chunks: the service keeps each
+    # request's batch_size chunks, so those rows see the same BLAS kernel.
     save_model(kinetgan, tmp_path / "model")
-    service = SamplingService(max_batch_rows=100)
-    sizes = [2, 63, 64, 130, 517]
+    service = SamplingService()
+    sizes = [1, 2, 63, 64, 65, 130, 517]
     requests = [SampleRequest(artifact=str(tmp_path / "model"), n=n, seed=n) for n in sizes]
     for request, table in zip(requests, service.sample_many(requests)):
         assert_identical(table, _oracle(kinetgan, request.n, sampling_rng(request.seed)))

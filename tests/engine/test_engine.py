@@ -98,6 +98,17 @@ class TestLoopMechanics:
         assert history.epochs == 3
         assert history.last() == {"loss": 1.0}
 
+    def test_run_is_single_use_and_releases_the_step(self):
+        step = ScriptedStep([1.0, 2.0])
+        recorder = EventRecorder([], "r")
+        engine = TrainingEngine(step, epochs=2, steps_per_epoch=1, callbacks=[recorder])
+        engine.run()
+        assert engine.step is None
+        assert recorder not in engine.callbacks.callbacks
+        assert (engine.epochs_run, engine.history.metrics["loss"]) == (2, [1.0, 2.0])
+        with pytest.raises(RuntimeError, match="single-use"):
+            engine.run()
+
     def test_invalid_arguments_rejected(self):
         step = ScriptedStep([1.0])
         with pytest.raises(ValueError):

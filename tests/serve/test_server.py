@@ -16,6 +16,7 @@ import urllib.request
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from repro.core import KiNETGAN, KiNETGANConfig
@@ -27,7 +28,9 @@ from repro.serve import (
     request_samples,
     save_model,
 )
-from repro.serve.server import table_from_wire, table_to_wire
+from repro.serve.server import _dumps, table_from_wire, table_to_wire
+from repro.tabular.schema import ColumnSpec, TableSchema
+from repro.tabular.table import Table
 
 
 def small_config(seed: int = 0) -> KiNETGANConfig:
@@ -86,13 +89,107 @@ def raw_post(url: str, body: bytes, timeout: float = 30.0):
         return error.code, dict(error.headers), json.loads(error.read() or b"{}")
 
 
+def assert_columns_bit_identical(a, b) -> None:
+    """Same names, dtypes and values; float columns compared bit for bit."""
+    assert a.schema == b.schema
+    for name in a.schema.names:
+        left, right = a.column(name), b.column(name)
+        assert left.dtype == right.dtype, name
+        if left.dtype == np.float64:
+            assert left.view(np.int64).tolist() == right.view(np.int64).tolist(), name
+        else:
+            assert left.tolist() == right.tolist(), name
+            assert [type(v) for v in left] == [type(v) for v in right], name
+
+
+EDGE_FLOATS = [np.nan, -0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e16]
+
+
+def edge_table() -> Table:
+    """Awkward floats next to int, str and tuple categories."""
+    schema = TableSchema(
+        [
+            ColumnSpec("x", "continuous"),
+            ColumnSpec("port", "categorical", categories=(22, 80, 443)),
+            ColumnSpec("proto", "categorical", categories=("tcp", "udp")),
+            ColumnSpec("pair", "categorical", categories=((1, "a"), (2, "b"))),
+        ]
+    )
+    pairs = np.empty(6, dtype=object)
+    pairs[:] = [(1, "a"), (2, "b")] * 3
+    return Table(
+        schema,
+        {
+            "x": np.array(EDGE_FLOATS),
+            "port": np.array([22, 80, 443, 22, 80, 443], dtype=object),
+            "proto": np.array(["tcp", "udp"] * 3, dtype=object),
+            "pair": pairs,
+        },
+    )
+
+
+def wire_round_trip(table: Table, dumps=_dumps, loads=json.loads) -> Table:
+    return table_from_wire(loads(dumps(table_to_wire(table))))
+
+
 class TestWireFormat:
     def test_table_round_trips_bit_identically(self, fitted_kinetgan):
         table = fitted_kinetgan.sample(64, rng=sampling_rng(3))
-        rebuilt = table_from_wire(json.loads(json.dumps(table_to_wire(table))))
+        rebuilt = wire_round_trip(table)
         assert_tables_identical(table, rebuilt)
         for name in table.schema.names:
             assert rebuilt.column(name).dtype == table.column(name).dtype
+
+    @pytest.mark.parametrize(
+        "dumps, loads",
+        [(_dumps, json.loads), (_dumps, orjson.loads), (json.dumps, json.loads)],
+        ids=["server-to-json", "server-to-orjson", "stdlib-to-json"],
+    )
+    def test_edge_values_round_trip_bit_identically(self, dumps, loads):
+        """The document also stays writable by any JSON encoder."""
+        table = edge_table()
+        assert_columns_bit_identical(table, wire_round_trip(table, dumps, loads))
+
+    def test_nan_goes_out_as_null(self):
+        body = _dumps(table_to_wire(edge_table()))
+        assert json.loads(body)["columns"]["x"][0] is None
+        assert b"NaN" not in body
+
+    def test_non_contiguous_continuous_column(self):
+        schema = TableSchema([ColumnSpec("x", "continuous")])
+        strided = np.array(EDGE_FLOATS * 2)[::2]
+        table = Table(schema, {"x": strided})
+        assert not table.column("x").flags.c_contiguous
+        assert_columns_bit_identical(table, wire_round_trip(table))
+
+    def test_zero_row_table(self):
+        table = edge_table().select_rows([])
+        rebuilt = wire_round_trip(table)
+        assert rebuilt.n_rows == 0
+        assert_columns_bit_identical(table, rebuilt)
+
+    def test_stdlib_client_rebuilds_response(self, served, fitted_kinetgan):
+        """A client on stdlib ``json`` reads the same rows as request_samples."""
+        url, _pool, _server = served
+        body = json.dumps({"artifact": "kinetgan", "n": 200, "seed": 5}).encode()
+        status, headers, document = raw_post(url, body)
+        assert status == 200
+        assert headers["Content-Type"] == "application/json"
+        assert_columns_bit_identical(
+            fitted_kinetgan.sample(200, rng=sampling_rng(5)), table_from_wire(document)
+        )
+
+    def test_other_documents_parse_to_the_same_values(self, served):
+        """/health, /artifacts and /metrics?format=json read back exactly as
+        the stdlib encoder wrote them."""
+        url, pool, server = served
+        request_samples(url, "kinetgan", 8, seed=0)
+        artifacts = {"artifacts": pool.manifests}
+        for document in (server.health(), artifacts, server.metrics_snapshot()):
+            assert json.loads(_dumps(document)) == json.loads(json.dumps(document))
+        assert fetch_json(url, "/artifacts") == json.loads(json.dumps(artifacts))
+        assert set(fetch_json(url, "/health")) == set(server.health())
+        assert "repro_http_requests_total" in fetch_json(url, "/metrics?format=json")
 
 
 class TestHTTPParity:
@@ -165,6 +262,12 @@ class TestRequestValidation:
     def test_malformed_json_body_400(self, served):
         url, _pool, _server = served
         status, _headers, body = raw_post(url, b"this is not json")
+        assert status == 400
+        assert "malformed" in body["error"]
+
+    def test_non_utf8_body_400(self, served):
+        url, _pool, _server = served
+        status, _headers, body = raw_post(url, b'{"artifact": "\xff"}')
         assert status == 400
         assert "malformed" in body["error"]
 

@@ -97,7 +97,7 @@ class TestSingleRequests:
 class TestMicroBatching:
     def test_batched_requests_match_individual_sampling(self, artifacts):
         """Batching with other requests never changes a request's rows."""
-        service = SamplingService(max_batch_rows=100)  # force multiple chunks
+        service = SamplingService()
         conditions = {
             "event_type": artifacts["kinetgan"].sampler.categories("event_type")[0]
         }
@@ -118,13 +118,24 @@ class TestMicroBatching:
         assert_tables_identical(model.sample(101, rng=sampling_rng(1)), tables[3])
 
     def test_same_artifact_requests_share_generator_passes(self, artifacts):
-        service = SamplingService(max_batch_rows=10_000)
+        service = SamplingService()
         requests = [
             SampleRequest(str(artifacts["kinetgan_dir"]), n=50, seed=i) for i in range(6)
         ]
         service.sample_many(requests)
         assert service.stats.requests == 6
         assert service.stats.generator_passes == 1
+
+    @pytest.mark.parametrize("sizes", [[65], [1, 3, 65, 67, 129]], ids=["alone", "burst"])
+    def test_odd_request_sizes_match_model_sample(self, artifacts, sizes):
+        """Each request keeps the ``batch_size`` chunks ``model.sample`` runs,
+        counted from its own first row, so a short tail chunk (here 1 or 3
+        rows after 64) sees the same BLAS kernel on both paths."""
+        service = SamplingService()
+        requests = [SampleRequest(str(artifacts["kinetgan_dir"]), n=n, seed=n) for n in sizes]
+        for request, table in zip(requests, service.sample_many(requests)):
+            expected = artifacts["kinetgan"].sample(request.n, rng=sampling_rng(request.seed))
+            assert_tables_identical(expected, table)
 
     def test_empty_burst(self):
         assert SamplingService().sample_many([]) == []
@@ -139,6 +150,19 @@ class TestStreaming:
         for chunk in chunks[1:]:
             merged = merged.concat(chunk)
         expected = artifacts["kinetgan"].sample(300, rng=sampling_rng(11))
+        assert_tables_identical(expected, merged)
+
+    @pytest.mark.parametrize("chunk_rows", [3, 67])
+    def test_chunks_off_the_batch_grid_match_one_shot_sample(self, artifacts, chunk_rows):
+        service = SamplingService()
+        chunks = list(
+            service.sample_stream(artifacts["kinetgan_dir"], 259, seed=12, chunk_rows=chunk_rows)
+        )
+        assert all(c.n_rows == chunk_rows for c in chunks[:-1])
+        merged = chunks[0]
+        for chunk in chunks[1:]:
+            merged = merged.concat(chunk)
+        expected = artifacts["kinetgan"].sample(259, rng=sampling_rng(12))
         assert_tables_identical(expected, merged)
 
     def test_stream_for_non_gan_model(self, artifacts):
