@@ -276,8 +276,9 @@ def seed_replica():
     def step_init(self, trainer, real_matrix, table=None):
         self.trainer = trainer
         self.real_matrix = real_matrix
+        self._kg_table = table
         self._kg_valid = None
-        self._kg_records = None
+        self._kg_columns = None
 
     def gen_step(self, config):
         from repro.core.losses import condition_penalty
@@ -364,13 +365,33 @@ def seed_replica():
         grad /= total_terms
         return total_loss / total_terms, grad
 
+    def corrupt_records(self, records):
+        corrupted = []
+        schema = self.transformer.schema
+        categorical_kg = [name for name in self.kg_columns if schema.column(name).is_categorical]
+        continuous_kg = [name for name in self.kg_columns if schema.column(name).is_continuous]
+        for record in records:
+            clone = dict(record)
+            if categorical_kg and (not continuous_kg or self.rng.uniform() < 0.7):
+                column = categorical_kg[self.rng.integers(0, len(categorical_kg))]
+                categories = schema.column(column).categories
+                clone[column] = categories[self.rng.integers(0, len(categories))]
+            elif continuous_kg:
+                column = continuous_kg[self.rng.integers(0, len(continuous_kg))]
+                spec = schema.column(column)
+                low = spec.minimum if spec.minimum is not None else 0.0
+                high = spec.maximum if spec.maximum is not None else 65535.0
+                clone[column] = float(self.rng.uniform(low, high))
+            corrupted.append(clone)
+        return corrupted
+
     def kg_train_step(self, real_table, real_matrix, fake_matrix, negatives=64,
-                      real_valid=None, real_records=None):
+                      real_valid=None, rows=None, columns=None):
         if self.head is None or self._optimizer is None:
             return 0.0
         records = real_table.to_records()
         real_valid = self.validator.table_scores(real_table)
-        pool = self._corrupt_records(records[: max(negatives, 1)])
+        pool = corrupt_records(self, records[: max(negatives, 1)])
         pool_scores = self.validator.record_scores(pool)
         invalid_records = [r for r, s in zip(pool, pool_scores) if s == 0.0]
 

@@ -296,98 +296,75 @@ class KnowledgeGuidedDiscriminator:
         self._validity_tables_cache = (info_e.start, info_e.end, base, member, dst, src)
         return self._validity_tables_cache
 
-    def _record_tables(self):
-        """Category-index views of :meth:`_validity_tables` for record dicts.
+    def _pool_tables(self):
+        """The :meth:`_validity_tables` checks in the order a negative pool
+        is judged, as ``(event_column, base, checks, src_range)``.
 
-        Scoring a corrupted-record pool only needs ``{value: category_index}``
-        dict lookups into the same precoded tables.  Returns ``None`` when
-        the tables are unavailable.
+        ``checks`` lists ``(column, table)`` for every category-coded check:
+        membership roles, then the destination port, then a one-hot source
+        port; ``src_range`` is ``(column, lo, hi, active)`` for a
+        mode-normalised source port.  Returns ``None`` when the tables are
+        unavailable.
         """
-        cached = getattr(self, "_record_tables_cache", "unset")
+        cached = getattr(self, "_pool_tables_cache", "unset")
         if cached != "unset":
             return cached
         tables = self._validity_tables()
         if tables is None:
-            self._record_tables_cache = None
+            self._pool_tables_cache = None
             return None
         _, _, base, member, dst, src = tables
-        fm = self.validator.reasoner.field_map
-
-        def index_for(col: str) -> dict:
-            return {v: i for i, v in enumerate(self.transformer.encoder(col).categories)}
-
-        cat_checks = [(col, index_for(col), tbl) for col, _, _, tbl in member]
+        checks = [(col, tbl) for col, _, _, tbl in member]
         if dst is not None:
-            col, _, _, tbl = dst
-            cat_checks.append((col, index_for(col), tbl))
+            checks.append((dst[0], dst[3]))
         src_range = None
         if src is not None:
             if src[0] == "table":
-                _, col, _, _, tbl = src
-                cat_checks.append((col, index_for(col), tbl))
+                checks.append((src[1], src[4]))
             else:
-                col, lo, hi, active = src[1], src[8], src[9], src[10]
-                src_range = (col, lo, hi, active)
-        event_col = fm["event_type"]
-        self._record_tables_cache = (
-            event_col, index_for(event_col), base, cat_checks, src_range
-        )
-        return self._record_tables_cache
+                src_range = (src[1], src[8], src[9], src[10])
+        event_col = self.validator.reasoner.field_map["event_type"]
+        self._pool_tables_cache = (event_col, base, checks, src_range)
+        return self._pool_tables_cache
 
-    def _pool_scores(self, records: list[dict]) -> np.ndarray:
-        """Per-record validity of full record dicts, mirroring ``is_valid``.
+    def _pool_scores(self, pool: dict[str, np.ndarray], record) -> np.ndarray:
+        """Validity of a negative pool held as column arrays, exactly
+        ``KGReasoner.is_valid`` of its records.
 
-        Resolves each record against the precoded tables with one dict
-        lookup per constrained column.  Any value outside the encoders'
-        category lists falls back to the reasoner's per-record query for
-        that record, so the scores are always exactly ``is_valid``'s.
+        ``pool`` holds :meth:`DataTransformer.column_arrays`-style columns;
+        ``record(i)`` builds row ``i``'s record dict.  Rows are judged by
+        table lookup, check by check in the order of :meth:`_pool_tables`;
+        a row whose event, or whose value at the first check it does not
+        fail, is outside the encoder's categories is judged by the reasoner
+        on its record instead, and a ``None`` event is valid.
         """
-        tables = self._record_tables()
+        tables = self._pool_tables()
         if tables is None:
-            return self.validator.record_scores(records)
-        event_col, event_index, base, cat_checks, src_range = tables
+            n = len(next(iter(pool.values())))
+            return self.validator.record_scores([record(i) for i in range(n)])
+        event_col, base, checks, src_range = tables
+        events = pool[event_col]
+        known = events >= 0
+        event = np.where(known, events, 0)
+        fallback = ~known
+        pending = known & base[event]
+        for col, tbl in checks:
+            codes = pool[col]
+            unknown = pending & (codes < 0)
+            fallback |= unknown
+            pending &= ~unknown & tbl[event, np.maximum(codes, 0)]
+        if src_range is not None:
+            col, lo, hi, active = src_range
+            # ``int(float(port))`` bounds check; a NaN (or infinite) port
+            # is invalid.
+            port = np.trunc(pool[col])
+            pending &= ~active[event] | ((port >= lo[event]) & (port <= hi[event]))
+        scores = pending.astype(np.float64)
         reasoner = self.validator.reasoner
-        missing = object()
-        scores = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            event = record.get(event_col)
-            if event is None:
-                scores[i] = 1.0
-                continue
-            e = event_index.get(event)
-            if e is None:
-                scores[i] = 1.0 if reasoner.is_valid(record) else 0.0
-                continue
-            if not base[e]:
-                scores[i] = 0.0
-                continue
-            ok = True
-            fallback = False
-            for col, index, tbl in cat_checks:
-                value = record.get(col, missing)
-                if value is missing:
-                    continue
-                j = index.get(value)
-                if j is None:
-                    fallback = True
-                    break
-                if not tbl[e, j]:
-                    ok = False
-                    break
-            if fallback:
-                scores[i] = 1.0 if reasoner.is_valid(record) else 0.0
-                continue
-            if ok and src_range is not None:
-                col, lo, hi, active = src_range
-                if active[e] and col in record:
-                    try:
-                        port = int(float(record[col]))
-                    except (TypeError, ValueError):
-                        ok = False
-                    else:
-                        if not lo[e] <= port <= hi[e]:
-                            ok = False
-            scores[i] = 1.0 if ok else 0.0
+        for i in np.flatnonzero(fallback):
+            row = record(i)
+            valid = row[event_col] is None or reasoner.is_valid(row)
+            scores[i] = 1.0 if valid else 0.0
         return scores
 
     def _hard_scores_fast(self, matrix: np.ndarray) -> np.ndarray:
@@ -504,78 +481,117 @@ class KnowledgeGuidedDiscriminator:
     # ------------------------------------------------------------------ #
     # Training data for the head
     # ------------------------------------------------------------------ #
-    def _corrupt_records(self, records: list[dict]) -> list[dict]:
-        """Randomly perturb KG-constrained attributes to manufacture negatives."""
-        corrupted: list[dict] = []
-        schema = self.transformer.schema
-        categorical_kg = [name for name in self.kg_columns if schema.column(name).is_categorical]
-        continuous_kg = [name for name in self.kg_columns if schema.column(name).is_continuous]
-        for record in records:
-            clone = dict(record)
-            if categorical_kg and (not continuous_kg or self.rng.uniform() < 0.7):
-                column = categorical_kg[self.rng.integers(0, len(categorical_kg))]
-                categories = schema.column(column).categories
-                clone[column] = categories[self.rng.integers(0, len(categories))]
-            elif continuous_kg:
-                column = continuous_kg[self.rng.integers(0, len(continuous_kg))]
-                spec = schema.column(column)
-                low = spec.minimum if spec.minimum is not None else 0.0
-                high = spec.maximum if spec.maximum is not None else 65535.0
-                clone[column] = float(self.rng.uniform(low, high))
-            corrupted.append(clone)
-        return corrupted
+    def _corruption_choices(self) -> tuple[list, list]:
+        """Per KG column, what a corruption can write: ``(column,
+        categories, codes)`` for categorical columns, ``(column, low,
+        high)`` for continuous ones (cached)."""
+        cached = getattr(self, "_corruption_choices_cache", None)
+        if cached is None:
+            schema = self.transformer.schema
+            categorical, continuous = [], []
+            for name in self.kg_columns:
+                spec = schema.column(name)
+                if spec.is_categorical:
+                    index = self.transformer.encoder(name)._index
+                    codes = [index.get(value, -1) for value in spec.categories]
+                    categorical.append((name, spec.categories, codes))
+                elif spec.is_continuous:
+                    low = spec.minimum if spec.minimum is not None else 0.0
+                    high = spec.maximum if spec.maximum is not None else 65535.0
+                    continuous.append((name, low, high))
+            cached = self._corruption_choices_cache = (categorical, continuous)
+        return cached
+
+    def _corruptions(self, n: int) -> list[tuple[str, object, object]]:
+        """Draw ``n`` random perturbations of KG-constrained attributes.
+
+        Each is ``(column, value, stored)``: the new raw value and what the
+        column array holds for it (the category's code, or the float).
+        The scalar draws are one row's after another, in a fixed order.
+        """
+        categorical, continuous = self._corruption_choices()
+        rng = self.rng
+        edits = []
+        for _ in range(n):
+            if categorical and (not continuous or rng.uniform() < 0.7):
+                column, categories, codes = categorical[rng.integers(0, len(categorical))]
+                j = rng.integers(0, len(categories))
+                edits.append((column, categories[j], codes[j]))
+            else:
+                column, low, high = continuous[rng.integers(0, len(continuous))]
+                value = float(rng.uniform(low, high))
+                edits.append((column, value, value))
+        return edits
+
+    def _negatives(
+        self, table: Table, columns: dict[str, np.ndarray], rows: np.ndarray
+    ) -> np.ndarray | None:
+        """Encoded corrupted copies of ``table``'s ``rows`` that the exact
+        check rejects (``None`` when it rejects none).
+
+        The pool stays in column arrays from corruption to encoding; only a
+        row the lookup tables cannot judge becomes a record dict.
+        """
+        pool = {name: values[rows] for name, values in columns.items()}
+        edits = self._corruptions(len(rows))
+        for i, (column, _, stored) in enumerate(edits):
+            pool[column][i] = stored
+
+        def record(i: int) -> dict:
+            row = table.row(int(rows[i]))
+            column, value, _ = edits[i]
+            row[column] = value
+            return row
+
+        invalid = np.flatnonzero(self._pool_scores(pool, record) == 0.0)
+        if not invalid.size:
+            return None
+        return self.transformer.encode(
+            {name: values[invalid] for name, values in pool.items()}, rng=self.rng
+        )
 
     def train_step(
         self,
-        real_table: Table | None,
+        real_table: Table,
         real_matrix: np.ndarray,
         fake_matrix: np.ndarray,
         negatives: int = 64,
         real_valid: np.ndarray | None = None,
-        real_records: list[dict] | None = None,
+        rows: np.ndarray | None = None,
+        columns: dict[str, np.ndarray] | None = None,
     ) -> float:
         """One optimisation step of the learned head.
 
         Positives: the real rows (valid by construction of the KG) -- plus
         their exact validity is re-checked so mislabelled rows are dropped.
-        Negatives: corrupted copies of real rows that the hard check rejects,
-        plus generated rows the hard check rejects.
+        Negatives: corrupted copies of the first ``negatives`` real rows
+        that the hard check rejects, plus generated rows the hard check
+        rejects.
 
-        The exact validity of real rows and their record dicts never change
-        across a fit, so callers that repeatedly draw batches from one table
-        (the KiNETGAN trainer) pass per-fit cached ``real_valid`` scores and
-        ``real_records`` dicts instead of ``real_table``; the validator query
-        and the per-row dict materialisation then run once per fit rather
-        than once per step, with bit-identical results.
+        The batch is ``real_table``'s ``rows`` (every row when ``None``),
+        encoded as ``real_matrix``.  A caller that draws many batches from
+        one table (the KiNETGAN trainer) passes the whole table with each
+        batch's ``rows``, the batch's ``real_valid`` scores gathered from a
+        per-fit cache, and ``columns``, the table's
+        :meth:`~repro.tabular.transformer.DataTransformer.column_arrays`;
+        the validator query and the category coding then run once per fit.
         """
         if self.head is None or self._optimizer is None:
             return 0.0
         if real_valid is None:
-            if real_table is None:
-                raise ValueError("train_step needs real_table when real_valid is not given")
-            real_valid = self.validator.table_scores(real_table)
-
-        # Manufacture invalid records by corrupting real ones.  Only the
-        # first ``negatives`` rows are corrupted, so only those are
-        # materialised as record dicts.
-        if real_records is None:
-            if real_table is None:
-                raise ValueError("train_step needs real_table when real_records is not given")
-            limit = min(real_table.n_rows, max(negatives, 1))
-            real_records = [real_table.row(i) for i in range(limit)]
-        else:
-            real_records = real_records[: max(negatives, 1)]
-        pool = self._corrupt_records(real_records)
-        pool_scores = self._pool_scores(pool)
-        invalid_records = [r for r, s in zip(pool, pool_scores) if s == 0.0]
+            batch = real_table if rows is None else real_table.select_rows(rows)
+            real_valid = self.validator.table_scores(batch)
+        if columns is None:
+            columns = self.transformer.column_arrays(real_table)
+        if rows is None:
+            rows = np.arange(real_table.n_rows)
+        invalid_matrix = self._negatives(real_table, columns, rows[: max(negatives, 1)])
 
         inputs = [real_matrix]
         targets = [real_valid[:, None]]
-        if invalid_records:
-            invalid_table = Table.from_records(self.transformer.schema, invalid_records)
-            invalid_matrix = self.transformer.transform(invalid_table, rng=self.rng)
+        if invalid_matrix is not None:
             inputs.append(invalid_matrix)
-            targets.append(np.zeros((len(invalid_records), 1)))
+            targets.append(np.zeros((len(invalid_matrix), 1)))
         if fake_matrix is not None and len(fake_matrix):
             fake_valid = self.hard_scores_matrix(fake_matrix)
             inputs.append(fake_matrix)

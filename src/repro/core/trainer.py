@@ -97,16 +97,17 @@ class KiNETGANStep(TrainStep):
         self.trainer = trainer
         self.real_matrix = real_matrix
         # Real rows never change across a fit, so their exact KG validity
-        # and record dicts are computed once here instead of once per step;
-        # each step then just gathers by the sampled row indices.  The
+        # and their category codes are computed once here instead of once
+        # per step; each step then gathers by the sampled row indices.  The
         # validator is deterministic (no rng draws), so this is
         # bit-identical to the per-step query.
+        self._kg_table = table
         self._kg_valid: np.ndarray | None = None
-        self._kg_records: list[dict] | None = None
+        self._kg_columns: dict[str, np.ndarray] | None = None
         kg = trainer.kg_discriminator
         if kg is not None and kg.head is not None and table is not None:
             self._kg_valid = kg.hard_scores(table)
-            self._kg_records = [table.row(i) for i in range(table.n_rows)]
+            self._kg_columns = trainer.transformer.column_arrays(table)
 
     def step(self, rng: np.random.Generator, batch_index: int) -> dict[str, float]:
         trainer = self.trainer
@@ -125,25 +126,24 @@ class KiNETGANStep(TrainStep):
 
         k_loss = 0.0
         if trainer.kg_discriminator is not None and cond is not None:
-            if self._kg_valid is not None and self._kg_records is not None:
+            if self._kg_valid is not None:
                 # ``real`` is the last d-step's gather of the same indices,
                 # so it is reused rather than gathered a second time.
                 idx = cond.row_indices
-                limit = max(config.knowledge_negatives_per_batch, 1)
                 k_loss = trainer.kg_discriminator.train_step(
-                    real_table=None,
-                    real_matrix=real,
-                    fake_matrix=fake_for_kg,
+                    self._kg_table,
+                    real,
+                    fake_for_kg,
                     negatives=config.knowledge_negatives_per_batch,
                     real_valid=self._kg_valid[idx],
-                    real_records=[self._kg_records[i] for i in idx[:limit]],
+                    rows=idx,
+                    columns=self._kg_columns,
                 )
             else:
-                real_rows = trainer.sampler.real_batch(cond)
                 k_loss = trainer.kg_discriminator.train_step(
-                    real_table=real_rows,
-                    real_matrix=self.real_matrix[cond.row_indices],
-                    fake_matrix=fake_for_kg,
+                    trainer.sampler.real_batch(cond),
+                    real,
+                    fake_for_kg,
                     negatives=config.knowledge_negatives_per_batch,
                 )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tabular.encoders import GaussianMixtureModel
+from repro.tabular.encoders import GaussianMixtureModel, fit_mixtures
 from repro.tabular.table import Table
 
 __all__ = ["likelihood_fitness"]
@@ -24,15 +24,18 @@ _EPS = 1e-9
 def _table_log_likelihood(model_table: Table, scored_table: Table, max_modes: int) -> float:
     """Mean per-row log-likelihood of ``scored_table`` under a density model
     fitted column-wise on ``model_table`` (columns treated independently)."""
+    mixtures = {
+        spec.name: GaussianMixtureModel(max_components=max_modes)
+        for spec in model_table.schema
+        if spec.is_continuous
+    }
+    fit_mixtures(list(mixtures.values()), [model_table.column(name) for name in mixtures])
     total = 0.0
     for spec in model_table.schema:
         model_values = model_table.column(spec.name)
         scored_values = scored_table.column(spec.name)
         if spec.is_continuous:
-            gmm = GaussianMixtureModel(max_components=max_modes).fit(
-                model_values.astype(np.float64)
-            )
-            total += gmm.log_likelihood(scored_values.astype(np.float64))
+            total += mixtures[spec.name].log_likelihood(scored_values.astype(np.float64))
         else:
             categories = spec.categories if spec.categories else tuple(
                 dict.fromkeys(model_values)

@@ -32,6 +32,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TypeVar
@@ -291,17 +292,24 @@ class Executor:
 
 
 def _run_guarded(
-    fn: Callable[[T], R], payload: T, decision: FaultDecision, timeout: float | None
+    fn: Callable[[T], R],
+    payload: T,
+    decision: FaultDecision,
+    timeout: float | None,
+    token: threading.Lock | None = None,
 ) -> R:
     """Worker body of an in-process attempt: apply the fault, then run.
 
     Module-level so the thread pool can submit it; the injected fault runs
     *before* the task body, so an abandoned straggler (injected delay >=
-    deadline) raises without ever touching resident state -- in-process
-    executors share it with the parent, and running an abandoned attempt
-    concurrently with its replay would race.
+    deadline) raises without ever touching resident state.  Under the
+    thread pool the body runs only if the worker takes the attempt's
+    one-shot ``token`` before the parent does (see
+    ``ThreadExecutor._attempt``).
     """
     execute_fault(decision, timeout, in_process=True)
+    if token is not None and not token.acquire(blocking=False):
+        raise StragglerTimeout("attempt abandoned at its deadline before its body ran")
     return fn(payload)
 
 
@@ -395,17 +403,31 @@ class ThreadExecutor(Executor):
         decisions: list[FaultDecision],
         policy: TaskPolicy,
     ) -> None:
-        # A timed-out future cannot be interrupted, but injected stragglers
-        # raise StragglerTimeout in the worker before the body runs, so the
-        # abandoned attempt never mutates shared state; the replay is the
-        # only execution.  Genuinely hung (non-injected) work units should
-        # be idempotent: an abandoned attempt may still complete later.
+        # A timed-out attempt cannot be interrupted, and its body may be
+        # writing resident state it shares with the parent (a federated
+        # site).  Each attempt carries a one-shot token: the worker takes
+        # it before the body runs, the parent when the attempt misses its
+        # deadline, and whoever takes it first decides.  A late attempt is
+        # thus stopped before its body starts (an injected straggler still
+        # sleeping, a task still queued); if its body is already running
+        # and the task will be replayed, the replay waits for it.  An
+        # attempt with no replay left is abandoned as before, so a
+        # deadline still bounds the caller's wait.
         pool = self._ensure_pool()
+        tokens = [threading.Lock() for _ in entries]
         futures = [
-            pool.submit(_run_guarded, fn, entry.payload, decision, policy.timeout)
-            for entry, decision in zip(entries, decisions)
+            pool.submit(_run_guarded, fn, entry.payload, decision, policy.timeout, token)
+            for entry, decision, token in zip(entries, decisions, tokens)
         ]
         _collect_futures(entries, futures, policy)
+        running = [
+            future
+            for entry, future, token in zip(entries, futures, tokens)
+            if not future.done()
+            and not token.acquire(blocking=False)
+            and entry.attempts <= policy.retries
+        ]
+        concurrent.futures.wait(running)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -354,6 +354,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Request handler; all state lives on ``self.server`` (the outer class)."""
 
     protocol_version = "HTTP/1.1"
+    # ``_respond`` writes the headers and the body as two sends; with Nagle
+    # on, a keep-alive connection's body waits for the client's delayed ACK
+    # (about 40 ms a response).
+    disable_nagle_algorithm = True
     server: "SamplingHTTPServer"
 
     # -- plumbing ------------------------------------------------------- #

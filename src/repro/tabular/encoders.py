@@ -31,6 +31,9 @@ __all__ = [
     "GaussianMixtureModel",
     "ModeSpecificNormalizer",
     "encoder_from_state",
+    "encode_modes",
+    "fit_mixtures",
+    "mode_groups",
 ]
 
 
@@ -276,13 +279,140 @@ class StandardScaler(_FittedMixin):
         return scaler
 
 
+#: The Gaussian log-density constant ``0.5 * log(2 pi)``.
+_HALF_LOG_2PI = 0.5 * np.log(2 * np.pi)
+#: numpy's pairwise-summation block (``PW_BLOCKSIZE`` in its add loops).
+_PAIRWISE_BLOCK = 128
+
+
+def _component_sum(x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Sum ``x[lo:hi]`` over its leading (component) axis in numpy's order.
+
+    numpy sums each row of a C-contiguous ``(rows, k)`` array pairwise:
+    one after another below 8 terms; otherwise into 8 interleaved
+    accumulators that are combined as a tree before the tail is added; and
+    above 128 terms as the sum of two halves.  Replaying that order with one
+    whole ``x[j]`` slab per term gives bit-identical sums, with every add a
+    long contiguous pass instead of a k-element row.  The terms here are
+    probabilities, so the sign of a zero sum never arises.
+    """
+    hi = len(x) if hi is None else hi
+    n = hi - lo
+    if n < 8:
+        total = x[lo].copy()
+        for j in range(lo + 1, hi):
+            total += x[j]
+        return total
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return _component_sum(x, lo, lo + half) + _component_sum(x, lo + half, hi)
+    stop = hi - n % 8
+    acc = x[lo : lo + 8]
+    if stop > lo + 8:
+        acc = acc.copy()
+        for j in range(lo + 8, stop, 8):
+            acc += x[j : j + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for j in range(stop, hi):
+        total += x[j]
+    return total
+
+
+def _log_density(values, weights, means, stds, out: np.ndarray) -> np.ndarray:
+    """Weighted component log-densities: ``out[j, c, i]`` is component ``j``
+    of column ``c`` at row ``i``.
+
+    ``values`` is ``(columns, rows)``; ``weights``, ``means`` and ``stds``
+    are ``(k, columns)``.  Each operator of the one-column expression
+    ``-0.5 * ((v - mu) / sigma) ** 2 - log(sigma) - 0.5 * log(2 pi) +
+    log(w + 1e-12)`` is one elementwise pass in the same order, so every
+    entry is bit-identical to the one-column result.
+    """
+    np.subtract(values, means[:, :, None], out=out)
+    np.divide(out, stds[:, :, None], out=out)
+    np.square(out, out=out)
+    np.multiply(out, -0.5, out=out)
+    np.subtract(out, np.log(stds)[:, :, None], out=out)
+    np.subtract(out, _HALF_LOG_2PI, out=out)
+    np.add(out, np.log(weights + 1e-12)[:, :, None], out=out)
+    return out
+
+
+def _responsibilities(values, weights, means, stds, out: np.ndarray) -> np.ndarray:
+    """Posterior component probabilities in the ``(k, columns, rows)``
+    layout of :func:`_log_density`, written into ``out``."""
+    _log_density(values, weights, means, stds, out)
+    np.subtract(out, out.max(axis=0), out=out)
+    np.exp(out, out=out)
+    np.divide(out, _component_sum(out), out=out)
+    return out
+
+
+def _em(values: np.ndarray, weights, means, stds, iterations: int):
+    """``iterations`` EM steps for every column of ``values`` at once.
+
+    The E step runs in the ``(k, columns, rows)`` layout, where each
+    reduction over components is a pass over whole row slabs.  The M step
+    sums over rows; numpy sums an ``(rows, k)`` array over its rows one row
+    after another, so the responsibilities are transposed once per step
+    into ``(rows, k * columns)`` and summed there with the same order in
+    every lane.  Parameters are ``(k, columns)`` arrays.
+    """
+    k, n_columns = means.shape
+    n = values.shape[1]
+    work = np.empty((k, n_columns, n))
+    resp = np.empty((n, k * n_columns))
+    # Column ``j * n_columns + c`` holds column ``c``'s values.
+    tiled = np.tile(values.T, (1, k))
+    scratch = work.reshape(n, k * n_columns)
+    for _ in range(iterations):
+        _responsibilities(values, weights, means, stds, work)
+        np.copyto(resp, work.reshape(k * n_columns, n).T)
+        nk = resp.sum(axis=0) + 1e-12
+        weights = nk / n
+        np.multiply(resp, tiled, out=scratch)
+        means = scratch.sum(axis=0) / nk
+        np.subtract(tiled, means, out=scratch)
+        np.square(scratch, out=scratch)
+        np.multiply(resp, scratch, out=scratch)
+        variance = scratch.sum(axis=0) / nk
+        stds = np.sqrt(np.maximum(variance, 1e-12))
+        weights, means, stds = (a.reshape(k, n_columns) for a in (weights, means, stds))
+    return weights, means, stds
+
+
+def fit_mixtures(models: list["GaussianMixtureModel"], columns: list) -> None:
+    """Fit each mixture in ``models`` on the matching entry of ``columns``.
+
+    Columns that share a component count, a row count and an iteration
+    count run their EM as one batched loop (:func:`_em`); every fitted
+    array is bit-identical to fitting the column alone, which is what
+    :meth:`GaussianMixtureModel.fit` does through this same function.
+    """
+    starts = [model._start(values) for model, values in zip(models, columns)]
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, (model, start) in enumerate(zip(models, starts)):
+        values, weights = start[0], start[1]
+        groups.setdefault((len(weights), len(values), model.max_iter), []).append(i)
+    for (_, _, iterations), members in groups.items():
+        values = np.stack([starts[i][0] for i in members])
+        weights, means, stds = (
+            np.stack([starts[i][p] for i in members], axis=1) for p in (1, 2, 3)
+        )
+        weights, means, stds = _em(values, weights, means, stds, iterations)
+        for slot, i in enumerate(members):
+            models[i]._finish(weights[:, slot], means[:, slot], stds[:, slot], starts[i][4])
+
+
 class GaussianMixtureModel(_FittedMixin):
     """One-dimensional Gaussian mixture fitted with EM.
 
     A deliberately small implementation: k-means++-style seeding, a fixed
     number of EM iterations, and pruning of components whose weight falls
     below ``weight_threshold`` (mirroring the variational GMM behaviour that
-    CTGAN relies on to pick the number of modes automatically).
+    CTGAN relies on to pick the number of modes automatically).  Several
+    columns fit together through :func:`fit_mixtures`.
     """
 
     def __init__(
@@ -308,6 +438,11 @@ class GaussianMixtureModel(_FittedMixin):
         return len(self.weights)
 
     def fit(self, values: np.ndarray) -> "GaussianMixtureModel":
+        fit_mixtures([self], [values])
+        return self
+
+    def _start(self, values) -> tuple:
+        """``(values, weights, means, stds, global_std)`` before the first EM step."""
         values = np.asarray(values, dtype=np.float64)
         if len(values) == 0:
             raise ValueError("cannot fit GMM on empty data")
@@ -321,17 +456,9 @@ class GaussianMixtureModel(_FittedMixin):
         global_std = values.std() or 1.0
         stds = np.full(k, global_std / max(k, 1) + 1e-6)
         weights = np.full(k, 1.0 / k)
+        return values, weights, means, stds, global_std
 
-        for _ in range(self.max_iter):
-            # E-step: responsibilities.
-            resp = self._responsibilities(values, weights, means, stds)
-            # M-step.
-            nk = resp.sum(axis=0) + 1e-12
-            weights = nk / len(values)
-            means = (resp * values[:, None]).sum(axis=0) / nk
-            variance = (resp * (values[:, None] - means) ** 2).sum(axis=0) / nk
-            stds = np.sqrt(np.maximum(variance, 1e-12))
-
+    def _finish(self, weights, means, stds, global_std) -> None:
         keep = weights > self.weight_threshold
         if not keep.any():
             keep[np.argmax(weights)] = True
@@ -342,41 +469,28 @@ class GaussianMixtureModel(_FittedMixin):
         std_floor = max(1e-6, 1e-3 * float(global_std))
         self.stds = np.maximum(stds[keep], std_floor)
         self._fitted = True
-        return self
 
-    @staticmethod
-    def _responsibilities(
-        values: np.ndarray, weights: np.ndarray, means: np.ndarray, stds: np.ndarray
-    ) -> np.ndarray:
-        log_prob = (
-            -0.5 * ((values[:, None] - means) / stds) ** 2
-            - np.log(stds)
-            - 0.5 * np.log(2 * np.pi)
-            + np.log(weights + 1e-12)
-        )
-        log_prob -= log_prob.max(axis=1, keepdims=True)
-        prob = np.exp(log_prob)
-        return prob / prob.sum(axis=1, keepdims=True)
+    def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fitted weights, means and stds as ``(k, 1)`` columns."""
+        return self.weights[:, None], self.means[:, None], self.stds[:, None]
 
     def predict_proba(self, values: np.ndarray) -> np.ndarray:
         """Posterior mode-membership probabilities for each value."""
         self._require_fitted()
-        values = np.asarray(values, dtype=np.float64)
-        return self._responsibilities(values, self.weights, self.means, self.stds)
+        values = np.asarray(values, dtype=np.float64)[None, :]
+        out = np.empty((len(self.weights), 1, values.shape[1]))
+        return np.ascontiguousarray(_responsibilities(values, *self._params(), out)[:, 0].T)
 
     def log_likelihood(self, values: np.ndarray) -> float:
         """Mean log-likelihood of ``values`` under the fitted mixture."""
         self._require_fitted()
-        values = np.asarray(values, dtype=np.float64)
-        log_prob = (
-            -0.5 * ((values[:, None] - self.means) / self.stds) ** 2
-            - np.log(self.stds)
-            - 0.5 * np.log(2 * np.pi)
-            + np.log(self.weights + 1e-12)
+        values = np.asarray(values, dtype=np.float64)[None, :]
+        log_prob = _log_density(
+            values, *self._params(), np.empty((len(self.weights), 1, values.shape[1]))
         )
-        max_log = log_prob.max(axis=1, keepdims=True)
-        lse = max_log.squeeze(1) + np.log(np.exp(log_prob - max_log).sum(axis=1))
-        return float(lse.mean())
+        max_log = log_prob.max(axis=0)
+        lse = max_log + np.log(_component_sum(np.exp(log_prob - max_log)))
+        return float(lse[0].mean())
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` samples from the fitted mixture."""
@@ -419,16 +533,20 @@ class ModeSpecificNormalizer(_FittedMixin):
     of the sampled mode (by posterior probability) and
     ``alpha = clip((v - mu_k) / (4 * sigma_k), -1, 1)`` is the offset within
     that mode.  ``inverse_transform`` reverses the mapping using the argmax
-    mode of the (possibly soft) ``beta`` block.
+    mode of the (possibly soft) ``beta`` block.  Several columns encode
+    together through :func:`encode_modes`.
     """
 
     def __init__(self, max_modes: int = 10, seed: int = 0) -> None:
         self.gmm = GaussianMixtureModel(max_components=max_modes, seed=seed)
         self.seed = seed
 
+    @property
+    def _fitted(self) -> bool:
+        return self.gmm._fitted
+
     def fit(self, values: np.ndarray) -> "ModeSpecificNormalizer":
-        self.gmm.fit(np.asarray(values, dtype=np.float64))
-        self._fitted = True
+        self.gmm.fit(values)
         return self
 
     @property
@@ -442,31 +560,16 @@ class ModeSpecificNormalizer(_FittedMixin):
         return 1 + self.n_modes
 
     def transform(self, values: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Encode a batch of values as ``(alpha, one-hot mode)`` rows.
-
-        Mode assignment is a single batched inverse-CDF draw over the
-        posterior mode probabilities (one ``rng.uniform`` call for the whole
-        batch) rather than a per-row categorical draw; the sampled
-        distribution is identical, only the RNG draw order differs.
-        """
+        """Encode a batch of values as ``(alpha, one-hot mode)`` rows
+        (a one-column :func:`encode_modes`)."""
         self._require_fitted()
         rng = rng if rng is not None else np.random.default_rng(self.seed)
         values = np.asarray(values, dtype=np.float64)
-        proba = self.gmm.predict_proba(values)
-        cumulative = np.cumsum(proba, axis=1)
-        draws = rng.uniform(size=len(values))
-        modes = np.minimum(
-            (cumulative < draws[:, None]).sum(axis=1), self.gmm.n_components - 1
-        )
-        out = np.zeros((len(values), 1 + self.gmm.n_components), dtype=np.float64)
-        out[:, 0] = self._alpha_for_modes(values, modes)
-        out[np.arange(len(values)), 1 + modes] = 1.0
+        alpha, modes = encode_modes(mode_groups([self]), values[None, :], rng)
+        out = np.zeros((len(values), self.dim), dtype=np.float64)
+        out[:, 0] = alpha[0]
+        out[np.arange(len(values)), 1 + modes[0]] = 1.0
         return out
-
-    def _alpha_for_modes(self, values: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        mu = self.gmm.means[modes]
-        sigma = self.gmm.stds[modes]
-        return np.clip((values - mu) / (4.0 * sigma), -1.0, 1.0)
 
     def inverse_from_modes(self, alpha: np.ndarray, modes: np.ndarray) -> np.ndarray:
         """Decode from the alpha scalar and already-resolved mode indices.
@@ -497,5 +600,53 @@ class ModeSpecificNormalizer(_FittedMixin):
         gmm = GaussianMixtureModel.from_artifact_state(state["gmm"])
         normalizer = cls(max_modes=gmm.max_components, seed=int(state["seed"]))
         normalizer.gmm = gmm
-        normalizer._fitted = True
         return normalizer
+
+
+def mode_groups(normalizers: list[ModeSpecificNormalizer]) -> list[tuple]:
+    """The fitted mixtures of ``normalizers`` grouped by mode count, for
+    :func:`encode_modes`: ``(k, columns, weights, means, stds)`` per group,
+    ``columns`` indexing ``normalizers`` and the parameters stacked as
+    ``(k, len(columns))`` arrays."""
+    members: dict[int, list[int]] = {}
+    for c, normalizer in enumerate(normalizers):
+        members.setdefault(normalizer.n_modes, []).append(c)
+    groups = []
+    for k, columns in members.items():
+        gmms = [normalizers[c].gmm for c in columns]
+        weights, means, stds = (
+            np.stack([getattr(gmm, name) for gmm in gmms], axis=1)
+            for name in ("weights", "means", "stds")
+        )
+        groups.append((k, np.asarray(columns), weights, means, stds))
+    return groups
+
+
+def encode_modes(
+    groups: list[tuple], values: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, modes)`` of ``values``, ``(columns, rows)``, under the
+    :func:`mode_groups` of one normalizer per column.
+
+    Mode assignment is a batched inverse-CDF draw over the posterior mode
+    probabilities: one ``rng.uniform(size=values.shape)`` call, which
+    consumes the generator exactly as one ``uniform(size=rows)`` call per
+    column in order.  Each group of columns with the same number of modes
+    takes one pass of the posterior.
+    """
+    draws = rng.uniform(size=values.shape)
+    alpha = np.empty(values.shape)
+    modes = np.empty(values.shape, dtype=np.intp)
+    for k, columns, weights, means, stds in groups:
+        group_values = values[columns]
+        cumulative = _responsibilities(
+            group_values, weights, means, stds, np.empty((k,) + group_values.shape)
+        )
+        np.cumsum(cumulative, axis=0, out=cumulative)
+        group_modes = np.minimum((cumulative < draws[columns]).sum(axis=0), k - 1)
+        lanes = np.arange(len(columns))[:, None]
+        mu = means[group_modes, lanes]
+        sigma = stds[group_modes, lanes]
+        alpha[columns] = np.clip((group_values - mu) / (4.0 * sigma), -1.0, 1.0)
+        modes[columns] = group_modes
+    return alpha, modes

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tabular.encoders import MinMaxScaler, ModeSpecificNormalizer, OneHotEncoder
+from repro.tabular.encoders import (
+    MinMaxScaler,
+    ModeSpecificNormalizer,
+    OneHotEncoder,
+    encode_modes,
+    encoder_from_state,
+    fit_mixtures,
+    mode_groups,
+)
 from repro.tabular.schema import TableSchema
 from repro.tabular.segments import BlockLayout
 from repro.tabular.table import Table
@@ -190,35 +198,61 @@ class DataTransformer:
         self._softmax_block_index: dict[str, int] | None = None
         self._tanh_columns: np.ndarray | None = None
         self._decode_plan: "_DecodePlan | None" = None
+        self._mode_names: list[str] = []
+        self._mode_groups: list[tuple] = []
         self._output_dim = 0
         self._fitted = False
 
     # ------------------------------------------------------------------ #
     def fit(self, table: Table) -> "DataTransformer":
-        """Learn per-column encoders from ``table``."""
+        """Learn per-column encoders from ``table``.
+
+        The Gaussian mixtures of all mode-normalised columns are fitted
+        together (:func:`~repro.tabular.encoders.fit_mixtures`), bit-identical
+        to fitting them one column at a time.
+        """
         self.schema = table.schema
-        self.output_info = []
         self._encoders = {}
-        cursor = 0
+        mixtures: list = []
+        mixture_values: list[np.ndarray] = []
         for spec in table.schema:
             values = table.column(spec.name)
             if spec.is_categorical:
                 categories = list(spec.categories) if spec.categories else None
                 encoder = OneHotEncoder(categories=categories, handle_unknown="ignore")
                 encoder.fit(values)
-                spans = (OutputSpan(encoder.dim, "softmax"),)
             elif self.continuous_encoding == "mode":
                 encoder = ModeSpecificNormalizer(max_modes=self.max_modes, seed=self.seed)
-                encoder.fit(values)
-                spans = (OutputSpan(1, "tanh"), OutputSpan(encoder.n_modes, "softmax"))
+                mixtures.append(encoder.gmm)
+                mixture_values.append(values)
             else:
                 encoder = MinMaxScaler()
                 encoder.fit(values)
+            self._encoders[spec.name] = encoder
+        fit_mixtures(mixtures, mixture_values)
+        self._build_layout()
+        return self
+
+    def _build_layout(self) -> None:
+        """Lay the fitted encoders out as output spans and reset the caches."""
+        self.output_info = []
+        cursor = 0
+        for spec in self.schema:
+            encoder = self._encoders[spec.name]
+            if isinstance(encoder, OneHotEncoder):
+                spans = (OutputSpan(encoder.dim, "softmax"),)
+            elif isinstance(encoder, ModeSpecificNormalizer):
+                spans = (OutputSpan(1, "tanh"), OutputSpan(encoder.n_modes, "softmax"))
+            else:
                 spans = (OutputSpan(1, "tanh"),)
             info = ColumnOutputInfo(name=spec.name, kind=spec.kind, spans=spans, start=cursor)
             cursor += info.dim
             self.output_info.append(info)
-            self._encoders[spec.name] = encoder
+        self._mode_names = [
+            info.name for info in self.output_info
+            if isinstance(self._encoders[info.name], ModeSpecificNormalizer)
+        ]
+        self._mode_groups = mode_groups([self._encoders[name] for name in self._mode_names])
         self._softmax_spans = None
         self._softmax_layout_cache = None
         self._softmax_block_index = None
@@ -226,7 +260,6 @@ class DataTransformer:
         self._decode_plan = None
         self._output_dim = cursor
         self._fitted = True
-        return self
 
     def _require_fitted(self) -> None:
         if not self._fitted:
@@ -257,29 +290,17 @@ class DataTransformer:
     @classmethod
     def from_artifact_state(cls, state: dict) -> "DataTransformer":
         """Rebuild a fitted transformer from :meth:`artifact_state` output."""
-        from repro.tabular.encoders import encoder_from_state
-
         transformer = cls(
             max_modes=int(state["max_modes"]),
             continuous_encoding=state["continuous_encoding"],
             seed=int(state["seed"]),
         )
         transformer.schema = TableSchema.from_dict(state["schema"])
-        cursor = 0
-        for spec in transformer.schema:
-            encoder = encoder_from_state(state["encoders"][spec.name])
-            if isinstance(encoder, OneHotEncoder):
-                spans = (OutputSpan(encoder.dim, "softmax"),)
-            elif isinstance(encoder, ModeSpecificNormalizer):
-                spans = (OutputSpan(1, "tanh"), OutputSpan(encoder.n_modes, "softmax"))
-            else:
-                spans = (OutputSpan(1, "tanh"),)
-            info = ColumnOutputInfo(name=spec.name, kind=spec.kind, spans=spans, start=cursor)
-            cursor += info.dim
-            transformer.output_info.append(info)
-            transformer._encoders[spec.name] = encoder
-        transformer._output_dim = cursor
-        transformer._fitted = True
+        transformer._encoders = {
+            spec.name: encoder_from_state(state["encoders"][spec.name])
+            for spec in transformer.schema
+        }
+        transformer._build_layout()
         return transformer
 
     @property
@@ -392,33 +413,59 @@ class DataTransformer:
 
     # ------------------------------------------------------------------ #
     def transform(self, table: Table, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Encode ``table`` into a float matrix of shape (rows, output_dim).
+        """Encode ``table`` into a float matrix of shape (rows, output_dim)."""
+        return self.encode(self.column_arrays(table), rng=rng)
 
-        Single-pass: the output matrix is allocated once and every column
-        block is written straight into its slice.  Categorical columns go
-        through the encoder's integer codes and one scatter write instead of
-        building a separate one-hot temporary per column.
-        """
+    def column_arrays(self, table: Table) -> dict[str, np.ndarray]:
+        """``table``'s columns as :meth:`encode` takes them: integer codes
+        (-1 for an unknown category) for categorical columns, float64
+        values for continuous ones."""
         self._require_fitted()
         if table.schema.names != self.schema.names:
             raise ValueError("table schema does not match the fitted schema")
-        rng = rng if rng is not None else np.random.default_rng(self.seed)
-        n_rows = table.n_rows
-        out = np.zeros((n_rows, self.output_dim), dtype=np.float64)
-        rows = np.arange(n_rows)
+        arrays: dict[str, np.ndarray] = {}
         for info in self.output_info:
             encoder = self._encoders[info.name]
             values = table.column(info.name)
-            if isinstance(encoder, ModeSpecificNormalizer):
-                out[:, info.start : info.end] = encoder.transform(
-                    values.astype(np.float64), rng=rng
-                )
-            elif isinstance(encoder, MinMaxScaler):
-                out[:, info.start] = encoder.transform(values.astype(np.float64))
+            if isinstance(encoder, OneHotEncoder):
+                arrays[info.name] = encoder.codes(values)
             else:
-                codes = encoder.codes(values)
-                known = codes >= 0
-                out[rows[known], info.start + codes[known]] = 1.0
+                arrays[info.name] = np.asarray(values, dtype=np.float64)
+        return arrays
+
+    def encode(
+        self, arrays: dict[str, np.ndarray], rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """Encode :meth:`column_arrays`-style columns into a float matrix.
+
+        The output matrix is allocated once and every column block is
+        written straight into its slice: categorical columns with one
+        scatter of their codes, the mode-normalised columns all together
+        through :func:`~repro.tabular.encoders.encode_modes` (one uniform
+        draw, consumed as one draw per column in column order).
+        """
+        self._require_fitted()
+        rng = rng if rng is not None else np.random.default_rng(self.seed)
+        n_rows = len(arrays[self.schema.names[0]])
+        out = np.zeros((n_rows, self.output_dim), dtype=np.float64)
+        rows = np.arange(n_rows)
+        if self._mode_names:
+            alpha, modes = encode_modes(
+                self._mode_groups, np.stack([arrays[name] for name in self._mode_names]), rng
+            )
+            slots = iter(range(len(self._mode_names)))
+        for info in self.output_info:
+            encoder = self._encoders[info.name]
+            values = arrays[info.name]
+            if isinstance(encoder, ModeSpecificNormalizer):
+                slot = next(slots)
+                out[:, info.start] = alpha[slot]
+                out[rows, info.start + 1 + modes[slot]] = 1.0
+            elif isinstance(encoder, MinMaxScaler):
+                out[:, info.start] = encoder.transform(values)
+            else:
+                known = values >= 0
+                out[rows[known], info.start + values[known]] = 1.0
         return out
 
     def inverse_transform(self, matrix: np.ndarray) -> Table:

@@ -8,6 +8,7 @@ broadcast, and the shared ``map_with_quorum`` round-dispatch helper.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -216,6 +217,54 @@ class TestMapTasksThread:
             )
             assert [r.value for r in results] == [2, 4, 6]
             assert results[0].retried and results[0].attempts == 2
+
+    def test_slow_body_never_overlaps_its_replay(self):
+        # A site round loads the global value into its site, then trains in
+        # place.  The first attempt of site 1 stalls mid-training past the
+        # deadline (an Event-gated sleep in the body, no injected fault);
+        # its replay must not start training the same site meanwhile, so
+        # the final site states equal a fault-free serial run's.
+        release = threading.Event()
+        stall = {"armed": False}
+        lock = threading.Lock()
+        active = {"now": 0, "peak": 0}
+
+        def site_round(payload):
+            sites, site, global_value = payload
+            sites[site] = global_value
+            with lock:
+                active["now"] += 1 if site == 1 else 0
+                active["peak"] = max(active["peak"], active["now"])
+            if site == 1 and stall["armed"]:
+                stall["armed"] = False
+                release.wait(0.4)
+            for _ in range(3):
+                value = sites[site]
+                time.sleep(0.01)
+                sites[site] = value * 3 + site
+            with lock:
+                active["now"] -= 1 if site == 1 else 0
+            return sites[site]
+
+        def run(executor, policy):
+            sites = {site: 0 for site in range(4)}
+            values = [
+                [r.value for r in executor.map_tasks(
+                    site_round, [(sites, site, g) for site in range(4)], policy
+                )]
+                for g in (1, 2)
+            ]
+            return values, sites
+
+        expected = run(SerialExecutor(), TaskPolicy())
+        stall["armed"] = True
+        try:
+            with ThreadExecutor(max_workers=2) as executor:
+                recovered = run(executor, TaskPolicy(timeout=0.1, retries=2))
+        finally:
+            release.set()
+        assert recovered == expected
+        assert active["peak"] == 1
 
     def test_real_exception_fails_only_that_task(self):
         with ThreadExecutor(max_workers=2) as executor:

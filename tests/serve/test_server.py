@@ -9,6 +9,7 @@ and 503s the rest.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -28,7 +29,7 @@ from repro.serve import (
     request_samples,
     save_model,
 )
-from repro.serve.server import _dumps, table_from_wire, table_to_wire
+from repro.serve.server import _dumps, _Handler, table_from_wire, table_to_wire
 from repro.tabular.schema import ColumnSpec, TableSchema
 from repro.tabular.table import Table
 
@@ -70,6 +71,21 @@ def served(kinetgan_artifact):
     with ServingPool({"kinetgan": kinetgan_artifact}, executor="thread:2") as pool:
         with SamplingHTTPServer(pool, queue_depth=16) as server:
             yield server.url, pool, server
+
+
+def test_served_connections_disable_nagle(served, monkeypatch):
+    url, _, _ = served
+    options = []
+    setup = _Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        options.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    with urllib.request.urlopen(url + "/health", timeout=30) as response:
+        assert response.status == 200
+    assert options and all(options)
 
 
 def assert_tables_identical(a, b) -> None:
